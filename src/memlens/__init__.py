@@ -2,7 +2,7 @@
 memoryless approximations with memory-correction terms, modified equations,
 and permutation-averaged mini-batch corrections, at desk scale."""
 
-from .core import (DomainExitError, Kind, KSpec, OptimizerSpec, RunConfig,
+from .core import (Kind, KSpec, OptimizerSpec, RunConfig,
                    Trajectory, linf_distance, rng, smoothed_one_norm, softsign)
 from .correction import (CorrectionTerm, Method, correction_bruteforce,
                          correction_closed, correction_closed_adamw,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -287,6 +288,8 @@ def _need_h_grid(resolved):
     grid = resolved["experiment"]["h_grid"]
     if not grid:
         raise ConfigError("missing required config key: experiment.h_grid")
+    if not all(0.0 < h < math.inf for h in grid):
+        raise ConfigError(f"experiment.h_grid entries must be finite and > 0, got {grid}")
     return grid
 
 

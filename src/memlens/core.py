@@ -20,20 +20,12 @@ ParamVector = np.ndarray
 _UINT64 = (1 << 64) - 1
 
 
-class DomainExitError(RuntimeError):
-    """An iterate left the loss model's domain (or went non-finite)."""
-
-    def __init__(self, step: int, message: str = "iterate left the domain"):
-        super().__init__(f"{message} at step {step}")
-        self.step = step
-
-
 def as_param_vector(x, d: Optional[int] = None) -> ParamVector:
     """Coerce to a finite 1-D float64 vector; optionally enforce length d."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("parameter vector must be 1-D with length >= 1")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("non-finite input")
     if d is not None and v.size != d:
         raise ValueError(f"expected length {d}, got {v.size}")
@@ -77,6 +69,11 @@ def linf_distance(a: ParamVector, b: ParamVector) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - b)))
+
+
+def floor_steps(T: float, h: float) -> int:
+    """floor(T / h), guarded against T/h landing a few ulps below an integer."""
+    return int(math.floor(T / h * (1.0 + 2.0 ** -40)))
 
 
 class Kind(enum.Enum):
@@ -126,10 +123,10 @@ class OptimizerSpec:
             b = getattr(self, name)
             if not (0.0 <= b < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be >= 0")
-        if not (self.eps > 0.0):
-            raise ValueError("eps must be > 0")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValueError("lambda must be finite and >= 0")
+        if not (0.0 < self.eps < math.inf):
+            raise ValueError("eps must be finite and > 0")
         if self.kind is Kind.LION_K and self.beta2 == 0.0:
             raise ValueError("lionk requires beta2 (rho2) in (0, 1)")
 
@@ -182,14 +179,14 @@ class RunConfig:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if not (self.horizon > 0.0):
-            raise ValueError("horizon T must be > 0")
+        if not (0.0 < self.horizon < math.inf):
+            raise ValueError("horizon T must be finite and > 0")
+        if not math.isfinite(self.theta0_scale):
+            raise ValueError("theta0_scale must be finite")
 
-    def n_steps(self, h: Optional[float] = None) -> int:
-        """floor(T / h), guarded against T/h landing a few ulps below an integer."""
-        hh = self.optimizer.h if h is None else h
-        q = self.horizon / hh
-        return int(math.floor(q * (1.0 + 2.0 ** -40)))
+    def n_steps(self) -> int:
+        """floor(T / h) for the optimizer's h."""
+        return floor_steps(self.horizon, self.optimizer.h)
 
     def initial_theta(self) -> ParamVector:
         if isinstance(self.theta0, str):
@@ -220,7 +217,6 @@ class Trajectory:
     h: float
     T: float
     loss_values: np.ndarray
-    grad_inf_norms: np.ndarray
     domain_exit: Optional[int] = None
     meta: dict = field(default_factory=dict)
 

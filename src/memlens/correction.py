@@ -6,7 +6,8 @@ Three evaluation routes are provided and cross-checked:
   * brute force  - the literal double sum over lag k and inner step s,
                    with prefix sums making it O(n) per evaluation;
   * contraction  - the same sum reassociated through the momentum slots so
-                   each slot costs one Jacobian-vector product;
+                   each slot costs one Jacobian-vector product; its large-n
+                   limit covers kinds without a large-n closed form;
   * closed forms - per-optimizer formulas (finite-n where available,
                    large-n limits for all kinds).
 """
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Kind, KSpec, OptimizerSpec, ParamVector, as_param_vector, linf_distance
+from .core import Kind, OptimizerSpec, ParamVector, as_param_vector, linf_distance
 from .losses import LossModel
 from .memoryful import MomentumForm, momentum_form
 
@@ -163,8 +164,8 @@ def correction_closed_adamw(spec: OptimizerSpec, loss: LossModel,
                             theta: ParamVector, n: Optional[int] = None) -> CorrectionTerm:
     """Componentwise closed form; two momentum lag coefficients, one hvp."""
     theta = as_param_vector(theta)
-    if n is not None and not spec.bias_correction:
-        raise ValueError("finite-n closed form assumes bias-corrected averages")
+    if not spec.bias_correction:
+        raise ValueError("closed form assumes bias-corrected averages")
     eps = spec.eps
     g = loss.grad(theta)
     den2 = g * g + eps
@@ -181,6 +182,8 @@ def correction_closed_nadamw(spec: OptimizerSpec, loss: LossModel,
                              theta: ParamVector) -> CorrectionTerm:
     """Large-n limit only: leading coefficient beta1^2/(1-beta1) - beta2/(1-beta2)."""
     theta = as_param_vector(theta)
+    if not spec.bias_correction:
+        raise ValueError("closed form assumes bias-corrected averages")
     eps = spec.eps
     g = loss.grad(theta)
     den2 = g * g + eps
@@ -190,18 +193,6 @@ def correction_closed_nadamw(spec: OptimizerSpec, loss: LossModel,
     a2 = spec.beta2 / (1.0 - spec.beta2)
     vec = spec.h * (a1 - a2 + eps * a2 / den2) * direction / den
     return CorrectionTerm(vec, None, Method.CLOSED_FORM_ASYMPTOTIC)
-
-
-def _kgrad_at(spec: OptimizerSpec, x: np.ndarray) -> np.ndarray:
-    if spec.kspec is KSpec.HALF_SQUARED_TWO_NORM:
-        return x
-    return x / np.sqrt(x * x + spec.eps)
-
-
-def _khess_diag_at(spec: OptimizerSpec, x: np.ndarray) -> np.ndarray:
-    if spec.kspec is KSpec.HALF_SQUARED_TWO_NORM:
-        return np.ones_like(x)
-    return spec.eps / (x * x + spec.eps) ** 1.5
 
 
 def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
@@ -216,6 +207,7 @@ def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
     theta = as_param_vector(theta)
     rho1, rho2 = spec.beta1, spec.beta2
     lam = spec.lam
+    form = momentum_form(spec)
     g = loss.grad(theta)
 
     if n is None or spec.bias_correction:
@@ -225,8 +217,8 @@ def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
         else:
             coef = rho1 / (1.0 - rho2) - (n + 1) * rho2 ** n * rho1 / (1.0 - rho2 ** (n + 1))
             method = Method.CLOSED_FORM_FINITE_N
-        kg = _kgrad_at(spec, -g)
-        vec = -spec.h * coef * _khess_diag_at(spec, -g) * loss.hvp(theta, kg - lam * theta)
+        kg = form.kgrad(-g)
+        vec = -spec.h * coef * form.khess_diag(-g) * loss.hvp(theta, kg - lam * theta)
         return CorrectionTerm(vec, n, method)
 
     # finite n, averages without bias correction: the contracted gradient
@@ -238,44 +230,52 @@ def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
     acc = np.zeros(d)
     for s in range(n):
         scale = 1.0 - rho1 * rho2 ** s
-        acc = acc + (-_kgrad_at(spec, -scale * g) + lam * theta)
+        acc = acc + (-form.kgrad(-scale * g) + lam * theta)
         P[s + 1] = acc
     W = np.zeros(d)
     for k in range(1, n + 1):
         W = W + rho2 ** (k - 1) * (P[n] - P[n - k])
     scale_n = 1.0 - rho1 * rho2 ** n
-    vec = spec.h * rho1 * (1.0 - rho2) * _khess_diag_at(spec, -scale_n * g) * loss.hvp(theta, W)
+    vec = spec.h * rho1 * (1.0 - rho2) * form.khess_diag(-scale_n * g) * loss.hvp(theta, W)
     return CorrectionTerm(vec, n, Method.CLOSED_FORM_FINITE_N)
+
+
+def correction_limit(spec: OptimizerSpec, loss: LossModel,
+                     theta: ParamVector) -> CorrectionTerm:
+    """Large-n limit of the slot contraction, derived from the momentum form:
+    every inner update tends to the large-n contracted update F, so the lag-k
+    window sums to k F and sum_k k beta^k = beta/(1-beta)^2.  One hvp."""
+    theta = as_param_vector(theta)
+    form = momentum_form(spec)
+    scales = [s.bias_limit * s.beta / (1.0 - s.beta) ** 2 for s in form.slots]
+    vec = spec.h * form.limit_jvp(loss, theta, loss.grad(theta), scales)
+    return CorrectionTerm(vec, None, Method.CONTRACTION)
 
 
 def correction_closed(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
                       n: Optional[int] = None) -> CorrectionTerm:
-    """Best available closed form; falls back to the contraction evaluation
-    (flagged in meta) for kinds without a finite-n formula."""
+    """Best available closed form; where none covers (kind, n, bias
+    correction) it falls back to the contraction evaluation or its large-n
+    limit, flagged in meta."""
     kind = spec.kind
     if kind is Kind.HEAVY_BALL:
         return correction_closed_heavyball(spec, loss, theta, n)
-    if kind is Kind.NESTEROV:
-        if n is None:
-            return correction_closed_nesterov(spec, loss, theta)
-        term = correction_contraction(spec, loss, theta, n)
-        term.meta["fallback"] = "no finite-n closed form for nesterov"
-        return term
-    if kind is Kind.ADAMW:
-        if n is None or spec.bias_correction:
-            return correction_closed_adamw(spec, loss, theta, n)
-        term = correction_contraction(spec, loss, theta, n)
-        term.meta["fallback"] = "finite-n closed form needs bias correction"
-        return term
-    if kind is Kind.NADAMW:
-        if n is None:
-            return correction_closed_nadamw(spec, loss, theta)
-        term = correction_contraction(spec, loss, theta, n)
-        term.meta["fallback"] = "no finite-n closed form for nadamw"
-        return term
     if kind is Kind.LION_K:
         return correction_closed_lionk(spec, loss, theta, n)
-    raise ValueError(f"unknown kind: {kind}")
+    if kind is Kind.ADAMW and spec.bias_correction:
+        return correction_closed_adamw(spec, loss, theta, n)
+    if n is None and kind is Kind.NESTEROV:
+        return correction_closed_nesterov(spec, loss, theta)
+    if n is None and kind is Kind.NADAMW and spec.bias_correction:
+        return correction_closed_nadamw(spec, loss, theta)
+    if n is None:
+        term = correction_limit(spec, loss, theta)
+    else:
+        term = correction_contraction(spec, loss, theta, n)
+    unbiased = "" if spec.bias_correction else " without bias correction"
+    term.meta["fallback"] = (f"no {'large' if n is None else 'finite'}-n closed form "
+                             f"for {kind.value}{unbiased}")
+    return term
 
 
 def correction_signum_adam_identity_check(beta: float, loss: LossModel,

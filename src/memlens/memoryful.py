@@ -11,12 +11,13 @@ The same structure drives the memory-correction machinery in `correction`.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .core import (DomainExitError, Kind, KSpec, OptimizerSpec, ParamVector,
+from .core import (Kind, KSpec, OptimizerSpec, ParamVector,
                    RunConfig, Trajectory)
 from .losses import LossModel, loss_from_config
 
@@ -96,14 +97,8 @@ class MomentumForm:
         else:
             raise ValueError(f"unknown kind: {k}")
         self.slots = tuple(slots)
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.slots)
-
-    @property
-    def max_beta(self) -> float:
-        return max(s.beta for s in self.slots)
+        # bias * geometric sum of each slot in the large-n limit
+        self.limit_scales = tuple(s.bias_limit * s.geometric_sum(None) for s in self.slots)
 
     # -- features ----------------------------------------------------------
 
@@ -123,22 +118,27 @@ class MomentumForm:
     def feature_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
                     index: int, v: ParamVector) -> np.ndarray:
         f = self.slots[index].feature
+        return self._feature_jvp(f, g, v, None if f is Feature.THETA else loss.hvp(theta, v))
+
+    @staticmethod
+    def _feature_jvp(f: Feature, g: ParamVector, v: ParamVector, hv: np.ndarray) -> np.ndarray:
+        """Directional derivative of feature f along v, given hv = hvp(theta, v)."""
         if f is Feature.GRAD:
-            return loss.hvp(theta, v)
+            return hv
         if f is Feature.GRAD_SQ:
-            return 2.0 * g * loss.hvp(theta, v)
+            return 2.0 * g * hv
         if f is Feature.THETA:
-            return np.array(v, dtype=np.float64, copy=True)
-        return -loss.hvp(theta, v)
+            return v
+        return -hv
 
     # -- output map --------------------------------------------------------
 
-    def _kgrad(self, x: np.ndarray) -> np.ndarray:
+    def kgrad(self, x: np.ndarray) -> np.ndarray:
         if self.spec.kspec is KSpec.HALF_SQUARED_TWO_NORM:
             return x
         return x / np.sqrt(x * x + self.spec.eps)
 
-    def _khess_diag(self, x: np.ndarray) -> np.ndarray:
+    def khess_diag(self, x: np.ndarray) -> np.ndarray:
         if self.spec.kspec is KSpec.HALF_SQUARED_TWO_NORM:
             return np.ones_like(x)
         return self.spec.eps / (x * x + self.spec.eps) ** 1.5
@@ -158,7 +158,7 @@ class MomentumForm:
         x = m[0] + m[1]
         if exact_sign:
             return -np.sign(-x) + m[2]
-        return -self._kgrad(x) + m[2]
+        return -self.kgrad(x) + m[2]
 
     def output_jac_apply(self, m: List[np.ndarray], us: List[np.ndarray]) -> np.ndarray:
         """sum_l (dQ/dm_l) u_l at the momentum point m."""
@@ -177,14 +177,18 @@ class MomentumForm:
             return (b1 * us[0] + (1.0 - b1) * us[3]) / den \
                 - num * us[1] / (2.0 * den ** 3) + us[2]
         x = m[0] + m[1]
-        return -self._khess_diag(x) * (us[0] + us[1]) + us[2]
+        return -self.khess_diag(x) * (us[0] + us[1]) + us[2]
 
     # -- contracted evaluation (all history arguments equal) ----------------
 
     def contracted_momenta(self, theta: ParamVector, g: ParamVector,
                            n: Optional[int]) -> List[np.ndarray]:
         feats = self.feature_values(theta, g)
-        return [s.bias(n) * s.geometric_sum(n) * f for s, f in zip(self.slots, feats)]
+        if n is None:
+            scales = self.limit_scales
+        else:
+            scales = [s.bias(n) * s.geometric_sum(n) for s in self.slots]
+        return [c * f for c, f in zip(scales, feats)]
 
     def contracted_F(self, loss: LossModel, theta: ParamVector,
                      n: Optional[int], g: Optional[ParamVector] = None) -> np.ndarray:
@@ -193,8 +197,30 @@ class MomentumForm:
             g = loss.grad(theta)
         return self.output(self.contracted_momenta(theta, g, n))
 
+    def limit_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
+                  scales: Sequence[float]) -> np.ndarray:
+        """sum_l (dQ/dm_l) scales_l J_l F at the large-n momenta m, where F = Q(m)
+        is the large-n contracted update and J_l the Jacobian of slot l's
+        feature; one hvp serves every slot.  With scales = limit_scales this is
+        the Jacobian of the large-n contracted update applied to F."""
+        m = self.contracted_momenta(theta, g, None)
+        F = self.output(m)
+        hv = loss.hvp(theta, F)
+        us = [c * self._feature_jvp(s.feature, g, F, hv) for c, s in zip(scales, self.slots)]
+        return self.output_jac_apply(m, us)
 
+    def advance(self, sums: List[np.ndarray], theta: ParamVector, g: ParamVector,
+                n: int, exact_sign: bool = False):
+        """Step n of the raw exponential sums: returns (sums, F^(n))."""
+        feats = self.feature_values(theta, g)
+        sums = [s.beta * acc + f for s, acc, f in zip(self.slots, sums, feats)]
+        m = [s.bias(n) * acc for s, acc in zip(self.slots, sums)]
+        return sums, self.output(m, exact_sign=exact_sign)
+
+
+@functools.lru_cache(maxsize=64)
 def momentum_form(spec: OptimizerSpec) -> MomentumForm:
+    """The form of spec, built once per distinct spec."""
     return MomentumForm(spec)
 
 
@@ -254,18 +280,32 @@ def step_state(spec: OptimizerSpec, loss: LossModel, state: MomentumState,
                theta: ParamVector, exact_sign: bool = False):
     """One O(1)-state step: returns (theta_next, state_next); bitwise deterministic."""
     n = state.n
-    if not loss.in_domain(theta):
-        raise DomainExitError(n)
-    form = momentum_form(spec)
-    g = loss.grad(theta)
-    feats = form.feature_values(theta, g)
-    new_sums = [s.beta * acc + f for s, acc, f in zip(form.slots, state.sums, feats)]
-    m = [s.bias(n) * acc for s, acc in zip(form.slots, new_sums)]
-    F = form.output(m, exact_sign=exact_sign)
-    theta_next = theta - spec.h * F
-    if not np.all(np.isfinite(theta_next)):
-        raise DomainExitError(n + 1, "non-finite iterate")
-    return theta_next, MomentumState(sums=new_sums, n=n + 1)
+    sums, F = momentum_form(spec).advance(state.sums, theta, loss.grad(theta), n, exact_sign)
+    return theta - spec.h * F, MomentumState(sums=sums, n=n + 1)
+
+
+def drive(config: RunConfig, loss: LossModel,
+          step: Callable[[ParamVector, int], ParamVector], meta: dict) -> Trajectory:
+    """floor(T/h) steps theta^(n+1) = step(theta^(n), n) from theta^(0),
+    recording every iterate and its loss.  The run stops early, recording the
+    step in domain_exit, at an iterate outside the loss domain (step n) or a
+    non-finite one (step n+1, not recorded)."""
+    theta = config.initial_theta()
+    iterates = [theta]
+    losses = [loss.value(theta)]
+    exit_step = None
+    for n in range(config.n_steps()):
+        if not loss.in_domain(theta):
+            exit_step = n
+            break
+        theta = step(theta, n)
+        if not np.isfinite(theta).all():
+            exit_step = n + 1
+            break
+        iterates.append(theta)
+        losses.append(loss.value(theta))
+    return Trajectory(iterates=np.array(iterates), h=config.optimizer.h, T=config.horizon,
+                      loss_values=np.array(losses), domain_exit=exit_step, meta=meta)
 
 
 def run_memoryful(config: RunConfig, loss: Optional[LossModel] = None,
@@ -280,50 +320,21 @@ def run_memoryful(config: RunConfig, loss: Optional[LossModel] = None,
         loss = loss_from_config(config.loss_id, config.loss_params,
                                 config.dimension, config.seed)
     spec = config.optimizer
-    theta = config.initial_theta()
-    n_steps = config.n_steps()
-    iterates = [np.array(theta, copy=True)]
-    losses = [loss.value(theta)]
-    gnorms = [float(np.max(np.abs(loss.grad(theta))))]
-    exit_step = None
 
     if engine == "state":
-        form = momentum_form(spec)
-        state = MomentumState.fresh(form, theta.size)
-        for _ in range(n_steps):
-            try:
-                theta, state = step_state(spec, loss, state, theta, exact_sign=exact_sign)
-            except DomainExitError as err:
-                exit_step = err.step
-                break
-            iterates.append(np.array(theta, copy=True))
-            losses.append(loss.value(theta))
-            gnorms.append(float(np.max(np.abs(loss.grad(theta)))))
+        state = MomentumState.fresh(momentum_form(spec), config.dimension)
+
+        def step(theta, n):
+            nonlocal state
+            theta, state = step_state(spec, loss, state, theta, exact_sign=exact_sign)
+            return theta
     elif engine == "history":
         hist = HistoryBuffer()
-        hist.append(theta)
-        for n in range(n_steps):
-            if not loss.in_domain(theta):
-                exit_step = n
-                break
-            F = eval_F_history(spec, loss, hist, exact_sign=exact_sign)
-            theta = theta - spec.h * F
-            if not np.all(np.isfinite(theta)):
-                exit_step = n + 1
-                break
+
+        def step(theta, n):
             hist.append(theta)
-            iterates.append(np.array(theta, copy=True))
-            losses.append(loss.value(theta))
-            gnorms.append(float(np.max(np.abs(loss.grad(theta)))))
+            return theta - spec.h * eval_F_history(spec, loss, hist, exact_sign=exact_sign)
     else:
         raise ValueError(f"unknown engine: {engine!r}")
 
-    return Trajectory(
-        iterates=np.array(iterates),
-        h=spec.h,
-        T=config.horizon,
-        loss_values=np.array(losses),
-        grad_inf_norms=np.array(gnorms),
-        domain_exit=exit_step,
-        meta={"engine": engine, "kind": spec.kind.value},
-    )
+    return drive(config, loss, step, {"engine": engine, "kind": spec.kind.value})

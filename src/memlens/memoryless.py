@@ -11,11 +11,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DomainExitError, Kind, OptimizerSpec, ParamVector, RunConfig,
+from .core import (Kind, OptimizerSpec, ParamVector, RunConfig,
                    Trajectory, as_param_vector, softsign)
 from .correction import correction_closed
 from .losses import LossModel, loss_from_config
-from .memoryful import momentum_form
+from .memoryful import MomentumState, drive, momentum_form
 
 
 class Order(enum.Enum):
@@ -51,25 +51,12 @@ def step_memoryless(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
                     n: int, kind: MemorylessKind) -> ParamVector:
     """theta - h * [contracted update + correction] at step n."""
     theta = as_param_vector(theta)
-    if not loss.in_domain(theta):
-        raise DomainExitError(n)
-    form = momentum_form(spec)
-    g = loss.grad(theta)
+    if kind.order is Order.SECOND_ORDER and kind.variant is CorrectionVariant.ASYMPTOTIC:
+        n = None  # large-n coefficients in both terms
+    F = momentum_form(spec).contracted_F(loss, theta, n, loss.grad(theta))
     if kind.order is Order.FIRST_ORDER:
-        F = form.contracted_F(loss, theta, n, g)
-        step = spec.h * F
-    elif kind.variant is CorrectionVariant.FINITE_N:
-        F = form.contracted_F(loss, theta, n, g)
-        c = correction_closed(spec, loss, theta, n).vector
-        step = spec.h * (F + c)
-    else:
-        F = form.contracted_F(loss, theta, None, g)
-        c = correction_closed(spec, loss, theta, None).vector
-        step = spec.h * (F + c)
-    theta_next = theta - step
-    if not np.all(np.isfinite(theta_next)):
-        raise DomainExitError(n + 1, "non-finite iterate")
-    return theta_next
+        return theta - spec.h * F
+    return theta - spec.h * (F + correction_closed(spec, loss, theta, n).vector)
 
 
 def run_memoryless(config: RunConfig, kind: MemorylessKind,
@@ -79,45 +66,20 @@ def run_memoryless(config: RunConfig, kind: MemorylessKind,
         loss = loss_from_config(config.loss_id, config.loss_params,
                                 config.dimension, config.seed)
     spec = config.optimizer
-    theta = config.initial_theta()
-    iterates = [np.array(theta, copy=True)]
-    losses = [loss.value(theta)]
-    gnorms = [float(np.max(np.abs(loss.grad(theta))))]
-    exit_step = None
-    correction_method = None
-    for n in range(config.n_steps()):
-        try:
-            theta = step_memoryless(spec, loss, theta, n, kind)
-        except DomainExitError as err:
-            exit_step = err.step
-            break
-        iterates.append(np.array(theta, copy=True))
-        losses.append(loss.value(theta))
-        gnorms.append(float(np.max(np.abs(loss.grad(theta)))))
-    if kind.order is Order.SECOND_ORDER:
-        probe_n = None if kind.variant is CorrectionVariant.ASYMPTOTIC else 1
-        term = correction_closed(spec, loss, config.initial_theta(), probe_n)
-        correction_method = term.method.value
-        fallback = term.meta.get("fallback")
-    else:
-        fallback = None
     meta = {
         "order": kind.order.value,
         "variant": kind.variant.value,
         "kind": spec.kind.value,
-        "correction_method": correction_method,
+        "correction_method": None,
     }
-    if fallback:
-        meta["correction_fallback"] = fallback
-    return Trajectory(
-        iterates=np.array(iterates),
-        h=spec.h,
-        T=config.horizon,
-        loss_values=np.array(losses),
-        grad_inf_norms=np.array(gnorms),
-        domain_exit=exit_step,
-        meta=meta,
-    )
+    if kind.order is Order.SECOND_ORDER:
+        probe_n = None if kind.variant is CorrectionVariant.ASYMPTOTIC else 1
+        term = correction_closed(spec, loss, config.initial_theta(), probe_n)
+        meta["correction_method"] = term.method.value
+        if term.meta.get("fallback"):
+            meta["correction_fallback"] = term.meta["fallback"]
+    return drive(config, loss, lambda theta, n: step_memoryless(spec, loss, theta, n, kind),
+                 meta)
 
 
 def one_step_defect(config: RunConfig, n_max: Optional[int] = None,
@@ -139,16 +101,11 @@ def one_step_defect(config: RunConfig, n_max: Optional[int] = None,
     last = len(thetas) - 1
     if n_max is not None:
         last = min(last, n_max + 1)
-    sums = [np.zeros(thetas.shape[1]) for _ in form.slots]
+    sums = MomentumState.fresh(form, thetas.shape[1]).sums
     defects = np.empty(last)
     for n in range(last):
-        theta_n = thetas[n]
-        g = loss.grad(theta_n)
-        feats = form.feature_values(theta_n, g)
-        sums = [s.beta * acc + f for s, acc, f in zip(form.slots, sums, feats)]
-        m = [s.bias(n) * acc for s, acc in zip(form.slots, sums)]
-        F_replay = form.output(m)
-        defects[n] = float(np.max(np.abs(thetas[n + 1] - theta_n + spec.h * F_replay)))
+        sums, F_replay = form.advance(sums, thetas[n], loss.grad(thetas[n]), n)
+        defects[n] = float(np.max(np.abs(thetas[n + 1] - thetas[n] + spec.h * F_replay)))
     return defects
 
 

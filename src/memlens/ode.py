@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Kind, KSpec, OptimizerSpec, ParamVector, RunConfig, as_param_vector
+from .core import OptimizerSpec, ParamVector, RunConfig, as_param_vector, floor_steps
 from .correction import correction_closed
 from .harness import SweepPoint, SweepReport, _assemble_report, n_burn_steps
 from .losses import LossModel, loss_from_config
@@ -35,29 +35,12 @@ class ModifiedODE:
         return self.G1(theta) + self.h * self.G2(theta)
 
 
-def _jac_update_apply(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
-                      g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Jacobian of the large-n contracted update applied to v (hvp composites)."""
-    kind = spec.kind
-    if kind in (Kind.HEAVY_BALL, Kind.NESTEROV):
-        return loss.hvp(theta, v) / (1.0 - spec.beta1)
-    if kind in (Kind.ADAMW, Kind.NADAMW):
-        scale = spec.eps / (g * g + spec.eps) ** 1.5
-        return scale * loss.hvp(theta, v) + spec.lam * v
-    if kind is Kind.LION_K:
-        if spec.kspec is KSpec.HALF_SQUARED_TWO_NORM:
-            return loss.hvp(theta, v) + spec.lam * v
-        scale = spec.eps / (g * g + spec.eps) ** 1.5
-        return scale * loss.hvp(theta, v) + spec.lam * v
-    raise ValueError(f"unknown kind: {kind}")
-
-
 def build_modified_ode(spec: OptimizerSpec, loss: LossModel,
                        jacobian: str = "analytic", fd_step: float = 1e-6) -> ModifiedODE:
     """G1 = -(large-n contracted update); G2 = -(correction/h + grad(G1) G1 / 2).
 
-    The Jacobian-vector term is assembled analytically from hvp composites, or
-    by central differences of G1 when jacobian="fd".
+    The Jacobian-vector term is derived from the momentum form (one hvp), or
+    taken by central differences of G1 when jacobian="fd".
     """
     form = momentum_form(spec)
 
@@ -68,11 +51,11 @@ def build_modified_ode(spec: OptimizerSpec, loss: LossModel,
         return -F_limit(as_param_vector(theta))
 
     def jac_g1_g1(theta, g):
-        F = F_limit(theta, g)
         if jacobian == "analytic":
-            return _jac_update_apply(spec, loss, theta, g, F)
+            return form.limit_jvp(loss, theta, g, form.limit_scales)
         if jacobian == "fd":
             # grad(G1) G1 = -d/dt G1(theta + t F)|_0 since G1 = -F
+            F = F_limit(theta, g)
             plus = F_limit(theta + fd_step * F)
             minus = F_limit(theta - fd_step * F)
             return (plus - minus) / (2.0 * fd_step)
@@ -106,7 +89,7 @@ def integrate_rk4(odesys: ModifiedODE, theta0: ParamVector, T: float,
     rhs = odesys.rhs if include_g2 else odesys.G1
 
     theta = np.array(as_param_vector(theta0), copy=True)
-    n_samples = int(math.floor((T / h) * (1.0 + 2.0 ** -40)))
+    n_samples = floor_steps(T, h)
     out = np.empty((n_samples + 1, theta.size))
     out[0] = theta
     for n in range(n_samples):

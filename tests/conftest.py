@@ -48,3 +48,12 @@ def all_kind_specs(h=1e-3):
         OptimizerSpec.lion_k(h, 0.9, 0.95, lam=0.1, eps=1e-4),
         OptimizerSpec.lion_k(h, 0.9, 0.95, lam=0.1, eps=1e-4, bias_correction=True),
     ]
+
+
+def limit_specs(h=1e-3):
+    """all_kind_specs plus the adaptive kinds without bias correction, whose
+    large-n slot scales differ from the bias-corrected ones."""
+    return all_kind_specs(h) + [
+        OptimizerSpec.adamw(h, 0.9, 0.95, lam=0.1, eps=1e-4, bias_correction=False),
+        OptimizerSpec.nadamw(h, 0.85, 0.9, lam=0.1, eps=1e-4, bias_correction=False),
+    ]

@@ -63,6 +63,19 @@ def test_unknown_override_key_named(sweep_cfg, tmp_path, capsys):
     assert "experiment.bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,key", [
+    ("run.horizon=inf", "horizon"),
+    ("experiment.h_grid=1e-2,0,5e-3", "experiment.h_grid"),
+    ("optimizer.lambda=nan", "lambda"),
+    ("run.theta0_scale=nan", "theta0_scale"),
+])
+def test_bad_value_exits_2_naming_key(override, key, sweep_cfg, tmp_path, capsys):
+    rc = run_cli("sweep", "--config", sweep_cfg, "--out-dir", tmp_path / "o",
+                 "--jobs", 1, "--set", override)
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_unknown_config_key_named(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text(HB_SWEEP_CFG + "\nwrong_key = 3\n")

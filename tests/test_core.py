@@ -98,10 +98,12 @@ def test_optimizer_spec_validation():
         OptimizerSpec.heavy_ball(0.0, 0.5)
     with pytest.raises(ValueError):
         OptimizerSpec.heavy_ball(1e-3, 1.0)
-    with pytest.raises(ValueError):
-        OptimizerSpec.adamw(1e-3, 0.9, 0.95, lam=-1.0)
-    with pytest.raises(ValueError):
-        OptimizerSpec.adamw(1e-3, 0.9, 0.95, eps=0.0)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lambda"):
+            OptimizerSpec.adamw(1e-3, 0.9, 0.95, lam=lam)
+    for eps in (0.0, float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            OptimizerSpec.adamw(1e-3, 0.9, 0.95, eps=eps)
     with pytest.raises(ValueError, match="rho2"):
         OptimizerSpec.lion_k(1e-3, 0.5, 0.0)
 

@@ -10,7 +10,7 @@ from memlens import (OptimizerSpec, correction_bruteforce, correction_closed,
 from memlens.core import KSpec
 from memlens.correction import (Method, decaying_double_sum, heavyball_bracket)
 
-from conftest import all_kind_specs, random_spd, rel_linf
+from conftest import all_kind_specs, limit_specs, random_spd, rel_linf
 
 
 def test_zero_at_n0(quad4, rng):
@@ -93,6 +93,13 @@ def test_closed_matches_bruteforce(spec, n, quad4, quartic, rng):
             brute = correction_bruteforce(spec, loss, theta, n).vector
             closed = correction_closed(spec, loss, theta, n).vector
             assert rel_linf(brute, closed) <= 1e-6
+
+
+@pytest.mark.parametrize("spec", limit_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")
+def test_large_n_closed_matches_bruteforce(spec, quad4, rng):
+    theta = rng.standard_normal(4)
+    brute = correction_bruteforce(spec, quad4, theta, 800).vector
+    assert rel_linf(correction_closed(spec, quad4, theta, None).vector, brute) <= 1e-10
 
 
 @pytest.mark.parametrize("spec", all_kind_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")

@@ -5,7 +5,7 @@ from memlens import (OptimizerSpec, RunConfig, build_modified_ode,
                      compare_discrete_vs_ode, integrate_rk4, make_quadratic)
 from memlens.ode import ModifiedODE
 
-from conftest import random_spd, rel_linf
+from conftest import limit_specs, random_spd, rel_linf
 
 
 def hb_config(h=1e-2, beta=0.9, d=4, T=1.0, eig=(0.02, 0.2)):
@@ -45,9 +45,7 @@ def test_scalar_quadratic_g2_value():
 
 def test_analytic_vs_fd_jacobian(rng):
     loss = make_quadratic(random_spd(4, rng), rng.standard_normal(4))
-    for spec in (OptimizerSpec.heavy_ball(1e-2, 0.8),
-                 OptimizerSpec.adamw(1e-2, 0.9, 0.95, lam=0.1, eps=1e-3),
-                 OptimizerSpec.lion_k(1e-2, 0.9, 0.95, lam=0.1, eps=1e-3)):
+    for spec in limit_specs(1e-2):
         ode_a = build_modified_ode(spec, loss, jacobian="analytic")
         ode_f = build_modified_ode(spec, loss, jacobian="fd")
         theta = rng.standard_normal(4)
