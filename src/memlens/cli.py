@@ -176,6 +176,10 @@ def resolve_config(path: str, overrides=()) -> dict:
                     raise ConfigError(f"missing required config key: {sec}.{key}")
                 resolved[sec].setdefault(key, default)
 
+    dt_ratio = resolved["experiment"]["dt_ratio"]
+    if not dt_ratio >= 4:  # also rejects a NaN from a JSON config
+        raise ConfigError(f"experiment.dt_ratio must be >= 4, got {dt_ratio}")
+
     loss_sec = dict(raw.get("loss", {}))
     if "id" not in loss_sec:
         raise ConfigError("missing required config key: loss.id")
@@ -271,7 +275,8 @@ def _finish(out_dir: Path, stem: str, resolved: dict, gates: list,
         "experiment": stem,
         "config_hash": config_hash(resolved),
         "gates": gates,
-        "status": "pass" if all(g["pass"] for g in gates) else "fail",
+        # a command that ran no gate has shown nothing, so it cannot pass
+        "status": "pass" if gates and all(g["pass"] for g in gates) else "fail",
     }
     if extra:
         summary.update(extra)
@@ -281,6 +286,8 @@ def _finish(out_dir: Path, stem: str, resolved: dict, gates: list,
     for g in gates:
         tag = "PASS" if g["pass"] else "FAIL"
         print(f"[{tag}] {g['name']}: value={g['value']} limit={g['limit']}")
+    if not gates:
+        print("[FAIL] no gate ran")
     return 0 if summary["status"] == "pass" else 1
 
 

@@ -6,8 +6,9 @@ Three evaluation routes are provided and cross-checked:
   * brute force  - the literal double sum over lag k and inner step s,
                    with prefix sums making it O(n) per evaluation;
   * contraction  - the same sum reassociated through the momentum slots so
-                   each slot costs one Jacobian-vector product; its large-n
-                   limit covers kinds without a large-n closed form;
+                   each slot costs one Jacobian-vector product, with every
+                   inner update in one array evaluation; its large-n limit
+                   covers kinds without a large-n closed form;
   * closed forms - per-optimizer formulas (finite-n where available,
                    large-n limits for all kinds).
 """
@@ -39,24 +40,26 @@ class CorrectionTerm:
     meta: dict = field(default_factory=dict)
 
 
-def _prefix_contracted(form: MomentumForm, loss: LossModel, theta: ParamVector,
-                       g: ParamVector, n: int) -> np.ndarray:
-    """P[j] = sum over steps s < j of the contracted update F^(s)(theta)."""
-    feats = form.feature_values(theta, g)
+def _prefix_contracted(form: MomentumForm, theta: ParamVector, g: ParamVector,
+                       n: int) -> np.ndarray:
+    """P[j] = sum over steps s < j of the contracted update F^(s)(theta).
+
+    Every F^(s), s < n, comes from one array evaluation: slot l's contracted
+    momentum at step s is a coefficient c_l(s) times the slot's feature, and
+    every output map is elementwise, so it applies row by row to (n, d) momenta."""
+    s = np.arange(n)
+    m = [np.broadcast_to(slot.bias(s) * slot.geometric_sum(s), (n,))[:, None] * f
+         for slot, f in zip(form.slots, form.feature_values(theta, g))]
     P = np.zeros((n + 1, theta.size))
-    acc = np.zeros(theta.size)
-    for s in range(n):
-        m = [slot.bias(s) * slot.geometric_sum(s) * f
-             for slot, f in zip(form.slots, feats)]
-        acc = acc + form.output(m)
-        P[s + 1] = acc
+    np.cumsum(form.output(m), axis=0, out=P[1:])
     return P
 
 
 def correction_bruteforce(spec: OptimizerSpec, loss: LossModel,
                           theta: ParamVector, n: int) -> CorrectionTerm:
     """Literal evaluation of the correction double sum at step n, all arguments
-    frozen at theta.  Inner sums use the step-s bias coefficients."""
+    frozen at theta.  Inner sums use the step-s bias coefficients, and the
+    prefix sums are built step by step, independently of _prefix_contracted."""
     theta = as_param_vector(theta)
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -64,7 +67,8 @@ def correction_bruteforce(spec: OptimizerSpec, loss: LossModel,
         return CorrectionTerm(np.zeros(theta.size), 0, Method.BRUTE_FORCE)
     form = momentum_form(spec)
     g = loss.grad(theta)
-    P = _prefix_contracted(form, loss, theta, g, n)
+    P = np.zeros((n + 1, theta.size))
+    np.cumsum([form.contracted_F(loss, theta, s, g) for s in range(n)], axis=0, out=P[1:])
     m_top = form.contracted_momenta(theta, g, n)
     zeros = np.zeros(theta.size)
     c = np.zeros(theta.size)
@@ -92,7 +96,7 @@ def correction_contraction(spec: OptimizerSpec, loss: LossModel,
         return CorrectionTerm(np.zeros(theta.size), 0, Method.CONTRACTION)
     form = momentum_form(spec)
     g = loss.grad(theta)
-    P = _prefix_contracted(form, loss, theta, g, n)
+    P = _prefix_contracted(form, theta, g, n)
     # V[k-1] = P[n] - P[n-k] = sum of contracted F^(s) over the k steps before n
     V = P[n][None, :] - P[:n][::-1]
     m_top = form.contracted_momenta(theta, g, n)
@@ -197,47 +201,26 @@ def correction_closed_nadamw(spec: OptimizerSpec, loss: LossModel,
 
 def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
                             theta: ParamVector, n: Optional[int] = None) -> CorrectionTerm:
-    """Closed forms for the sign-momentum family.
-
-    Large-n limit and (with bias-corrected averages) finite n share one shape:
+    """Closed form for the sign-momentum family, in the large-n limit and
+    (with bias-corrected averages) at finite n:
     -h * coef * K''(-grad) * hvp(theta, K'(-grad) - lam*theta).  Without bias
-    correction the finite-n value keeps the per-step attenuation of the inner
-    sums and is evaluated with prefix sums plus a single hvp.
-    """
+    correction there is no finite-n closed form; correction_closed falls back
+    to the contraction route."""
     theta = as_param_vector(theta)
+    if n is not None and not spec.bias_correction:
+        raise ValueError("finite-n closed form assumes bias-corrected averages")
     rho1, rho2 = spec.beta1, spec.beta2
-    lam = spec.lam
+    if n is None:
+        coef = rho1 / (1.0 - rho2)
+        method = Method.CLOSED_FORM_ASYMPTOTIC
+    else:
+        coef = rho1 / (1.0 - rho2) - (n + 1) * rho2 ** n * rho1 / (1.0 - rho2 ** (n + 1))
+        method = Method.CLOSED_FORM_FINITE_N
     form = momentum_form(spec)
     g = loss.grad(theta)
-
-    if n is None or spec.bias_correction:
-        if n is None:
-            coef = rho1 / (1.0 - rho2)
-            method = Method.CLOSED_FORM_ASYMPTOTIC
-        else:
-            coef = rho1 / (1.0 - rho2) - (n + 1) * rho2 ** n * rho1 / (1.0 - rho2 ** (n + 1))
-            method = Method.CLOSED_FORM_FINITE_N
-        kg = form.kgrad(-g)
-        vec = -spec.h * coef * form.khess_diag(-g) * loss.hvp(theta, kg - lam * theta)
-        return CorrectionTerm(vec, n, method)
-
-    # finite n, averages without bias correction: the contracted gradient
-    # carries a factor (1 - rho1 rho2^s) at inner step s
-    if n == 0:
-        return CorrectionTerm(np.zeros(theta.size), 0, Method.CLOSED_FORM_FINITE_N)
-    d = theta.size
-    P = np.zeros((n + 1, d))
-    acc = np.zeros(d)
-    for s in range(n):
-        scale = 1.0 - rho1 * rho2 ** s
-        acc = acc + (-form.kgrad(-scale * g) + lam * theta)
-        P[s + 1] = acc
-    W = np.zeros(d)
-    for k in range(1, n + 1):
-        W = W + rho2 ** (k - 1) * (P[n] - P[n - k])
-    scale_n = 1.0 - rho1 * rho2 ** n
-    vec = spec.h * rho1 * (1.0 - rho2) * form.khess_diag(-scale_n * g) * loss.hvp(theta, W)
-    return CorrectionTerm(vec, n, Method.CLOSED_FORM_FINITE_N)
+    kg = form.kgrad(-g)
+    vec = -spec.h * coef * form.khess_diag(-g) * loss.hvp(theta, kg - spec.lam * theta)
+    return CorrectionTerm(vec, n, method)
 
 
 def correction_limit(spec: OptimizerSpec, loss: LossModel,
@@ -260,7 +243,7 @@ def correction_closed(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
     kind = spec.kind
     if kind is Kind.HEAVY_BALL:
         return correction_closed_heavyball(spec, loss, theta, n)
-    if kind is Kind.LION_K:
+    if kind is Kind.LION_K and (n is None or spec.bias_correction):
         return correction_closed_lionk(spec, loss, theta, n)
     if kind is Kind.ADAMW and spec.bias_correction:
         return correction_closed_adamw(spec, loss, theta, n)

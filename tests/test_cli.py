@@ -68,6 +68,8 @@ def test_unknown_override_key_named(sweep_cfg, tmp_path, capsys):
     ("experiment.h_grid=1e-2,0,5e-3", "experiment.h_grid"),
     ("optimizer.lambda=nan", "lambda"),
     ("run.theta0_scale=nan", "theta0_scale"),
+    ("experiment.dt_ratio=0", "experiment.dt_ratio"),
+    ("experiment.dt_ratio=2", "experiment.dt_ratio"),
 ])
 def test_bad_value_exits_2_naming_key(override, key, sweep_cfg, tmp_path, capsys):
     rc = run_cli("sweep", "--config", sweep_cfg, "--out-dir", tmp_path / "o",
@@ -140,6 +142,16 @@ def test_corr_table_command(sweep_cfg, tmp_path):
     assert lines[0] == "method,kind,n,component,value"
     methods = {line.split(",")[0] for line in lines[1:]}
     assert {"bruteforce", "contraction", "closed-finite-n", "closed-asymptotic"} <= methods
+
+
+def test_no_gate_is_a_failure(sweep_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli("corr-table", "--config", sweep_cfg, "--out-dir", out,
+                 "--set", "experiment.n_list=")
+    assert rc == 1
+    assert "[FAIL] no gate ran" in capsys.readouterr().out
+    summary = json.loads(next(out.glob("corr-table_*_summary.json")).read_text())
+    assert summary["gates"] == [] and summary["status"] == "fail"
 
 
 def test_defect_command_summary_row(sweep_cfg, tmp_path):

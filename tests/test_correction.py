@@ -102,10 +102,10 @@ def test_large_n_closed_matches_bruteforce(spec, quad4, rng):
     assert rel_linf(correction_closed(spec, quad4, theta, None).vector, brute) <= 1e-10
 
 
-@pytest.mark.parametrize("spec", all_kind_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")
+@pytest.mark.parametrize("spec", limit_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")
 def test_contraction_matches_bruteforce(spec, quad4, rng):
     theta = rng.standard_normal(4)
-    for n in (1, 7, 60):
+    for n in (1, 7, 60, 600):
         a = correction_bruteforce(spec, quad4, theta, n).vector
         b = correction_contraction(spec, quad4, theta, n).vector
         assert rel_linf(a, b) <= 1e-12
@@ -239,6 +239,10 @@ def test_fallbacks_flagged(quad4, rng):
     theta = rng.standard_normal(4)
     ne = correction_closed(OptimizerSpec.nesterov(1e-3, 0.8), quad4, theta, 5)
     na = correction_closed(OptimizerSpec.nadamw(1e-3, 0.8, 0.9, eps=1e-4), quad4, theta, 5)
-    assert "fallback" in ne.meta and "fallback" in na.meta
+    lion = OptimizerSpec.lion_k(1e-3, 0.9, 0.95, lam=0.1, eps=1e-4)
+    li = correction_closed(lion, quad4, theta, 5)
+    assert "fallback" in ne.meta and "fallback" in na.meta and "fallback" in li.meta
+    with pytest.raises(ValueError, match="bias"):
+        correction_closed_lionk(lion, quad4, theta, 5)
     assert correction_closed(OptimizerSpec.nesterov(1e-3, 0.8), quad4, theta).method \
         is Method.CLOSED_FORM_ASYMPTOTIC
