@@ -69,6 +69,25 @@ def _parse_theta0(s):
         raise ConfigError(f"theta0 must be gauss|zeros|ones or comma floats, got {s!r}") from exc
 
 
+_LIST_PARSERS = (_parse_floats, _parse_ints, _parse_theta0)
+
+
+def _config_text(value, parser) -> str:
+    """A config value as the text its schema parser reads.  INI values and
+    overrides are text already; a JSON config (an emitted manifest.json, for
+    example) also holds numbers, booleans and, for list-valued keys, lists of
+    numbers, which are written back out so that the same parser checks them."""
+    if isinstance(value, str):
+        return value
+    listed = parser in _LIST_PARSERS
+    items = value if listed and isinstance(value, list) else [value]
+    if parser is str or not all(isinstance(v, (bool, int, float)) for v in items):
+        want = ("a string" if parser is str else
+                "a number or a list of numbers" if listed else "a single number or boolean")
+        raise ConfigError(f"expected {want}")
+    return ",".join(repr(v) for v in items)
+
+
 # section -> key -> (parser, default, help text with units).  [loss] accepts
 # additional per-loss parameters validated by the loss factory itself.
 SCHEMA = {
@@ -163,7 +182,7 @@ def resolve_config(path: str, overrides=()) -> dict:
                 raise ConfigError(f"unknown config key: {sec}.{key}")
             parser = SCHEMA[sec][key][0]
             try:
-                out[key] = value if not isinstance(value, str) else parser(value)
+                out[key] = parser(_config_text(value, parser))
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"bad value for {sec}.{key}: {value!r} ({exc})") from exc
         resolved[sec] = out
@@ -183,6 +202,9 @@ def resolve_config(path: str, overrides=()) -> dict:
     loss_sec = dict(raw.get("loss", {}))
     if "id" not in loss_sec:
         raise ConfigError("missing required config key: loss.id")
+    for k, v in loss_sec.items():
+        if not isinstance(v, (str, bool, int, float)):
+            raise ConfigError(f"bad value for loss.{k}: {v!r} (expected a number or a string)")
     resolved["loss"] = {k: (v if not isinstance(v, str) else _coerce_scalar(v))
                         for k, v in loss_sec.items()}
 
@@ -269,6 +291,22 @@ def _gate(name, value, ok, limit):
     return {"name": name, "value": value, "limit": limit, "pass": bool(ok)}
 
 
+def _fit_gates(report: SweepReport, slope_name, r2_name, lo, hi, r2_min):
+    """Slope and r^2 gates of a sweep.  A degenerate fit (fewer than 3 points
+    above the rounding floor) passes only when every point is valid, i.e. the
+    errors sit at the floor; an invalid point makes the slope gate fail."""
+    if report.status == "degenerate":
+        invalid = [p for p in report.points if not p.valid]
+        if invalid:
+            notes = ", ".join(sorted({p.note for p in invalid}))
+            return [_gate(slope_name, "degenerate", False,
+                          f"fit needs valid points; {len(invalid)} of "
+                          f"{len(report.points)} invalid ({notes})")]
+        return [_gate(slope_name, "degenerate", True, "fit skipped")]
+    return [_gate(slope_name, report.slope, lo <= report.slope <= hi, f"[{lo}, {hi}]"),
+            _gate(r2_name, report.r2, report.r2 >= r2_min, f">= {r2_min}")]
+
+
 def _finish(out_dir: Path, stem: str, resolved: dict, gates: list,
             extra: dict | None = None) -> int:
     summary = {
@@ -337,14 +375,9 @@ def cmd_sweep(resolved, out_dir, jobs):
                   _report_rows(report))
         extra["reports"][tag] = {"slope": report.slope, "r2": report.r2,
                                  "status": report.status}
-        if report.status == "degenerate":
-            gates.append(_gate(f"slope-{tag}", "degenerate", True, "fit skipped"))
-            continue
         lo, hi = _slope_gates(resolved, *(1.7, 2.3) if tag == "second" else (0.8, 1.3))
-        r2_min = resolved["experiment"]["r2_min"]
-        gates.append(_gate(f"slope-{tag}", report.slope,
-                           lo <= report.slope <= hi, f"[{lo}, {hi}]"))
-        gates.append(_gate(f"r2-{tag}", report.r2, report.r2 >= r2_min, f">= {r2_min}"))
+        gates += _fit_gates(report, f"slope-{tag}", f"r2-{tag}", lo, hi,
+                            resolved["experiment"]["r2_min"])
     stem = f"sweep_{resolved['experiment']['order']}_{config_hash(resolved)}"
     return _finish(out_dir, stem, resolved, gates, extra)
 
@@ -361,15 +394,9 @@ def cmd_defect(resolved, out_dir, jobs):
             rows.append([p.h, n, dval])
     rows.append(["slope", "", report.slope])
     write_csv(out_dir / f"{stem}.csv", ["h", "n", "defect"], rows)
-    gates = []
-    if report.status == "degenerate":
-        gates.append(_gate("defect-slope", "degenerate", True, "fit skipped"))
-    else:
-        lo, hi = _slope_gates(resolved, 2.7, 3.3)
-        r2_min = resolved["experiment"]["r2_min"]
-        gates.append(_gate("defect-slope", report.slope,
-                           lo <= report.slope <= hi, f"[{lo}, {hi}]"))
-        gates.append(_gate("defect-r2", report.r2, report.r2 >= r2_min, f">= {r2_min}"))
+    lo, hi = _slope_gates(resolved, 2.7, 3.3)
+    gates = _fit_gates(report, "defect-slope", "defect-r2", lo, hi,
+                       resolved["experiment"]["r2_min"])
     return _finish(out_dir, stem, resolved, gates,
                    {"slope": report.slope, "r2": report.r2})
 
@@ -404,15 +431,8 @@ def cmd_ode_compare(resolved, out_dir, jobs):
     rows = _report_rows(report)
     rows.append(["slope", report.slope, report.status])
     write_csv(out_dir / f"{stem}.csv", ["h", "max_error", "status"], rows)
-    gates = []
-    if report.status == "degenerate":
-        gates.append(_gate("ode-slope", "degenerate", True, "fit skipped"))
-    else:
-        lo, hi = _slope_gates(resolved, 1.7, 2.3)
-        gates.append(_gate("ode-slope", report.slope,
-                           lo <= report.slope <= hi, f"[{lo}, {hi}]"))
-        gates.append(_gate("ode-r2", report.r2, report.r2 >= exp["r2_min"],
-                           f">= {exp['r2_min']}"))
+    lo, hi = _slope_gates(resolved, 1.7, 2.3)
+    gates = _fit_gates(report, "ode-slope", "ode-r2", lo, hi, exp["r2_min"])
     return _finish(out_dir, stem, resolved, gates,
                    {"slope": report.slope, "r2": report.r2})
 

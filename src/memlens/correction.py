@@ -230,8 +230,7 @@ def correction_limit(spec: OptimizerSpec, loss: LossModel,
     window sums to k F and sum_k k beta^k = beta/(1-beta)^2.  One hvp."""
     theta = as_param_vector(theta)
     form = momentum_form(spec)
-    scales = [s.bias_limit * s.beta / (1.0 - s.beta) ** 2 for s in form.slots]
-    vec = spec.h * form.limit_jvp(loss, theta, loss.grad(theta), scales)
+    vec = spec.h * form.limit_jvp(loss, theta, loss.grad(theta), form.lag_scales)[1]
     return CorrectionTerm(vec, None, Method.CONTRACTION)
 
 

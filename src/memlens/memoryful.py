@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +99,9 @@ class MomentumForm:
         self.slots = tuple(slots)
         # bias * geometric sum of each slot in the large-n limit
         self.limit_scales = tuple(s.bias_limit * s.geometric_sum(None) for s in self.slots)
+        # bias * sum_k k beta^k of each slot in the large-n limit: the lag
+        # weights of the large-n memory correction
+        self.lag_scales = tuple(s.bias_limit * s.beta / (1.0 - s.beta) ** 2 for s in self.slots)
 
     # -- features ----------------------------------------------------------
 
@@ -198,16 +201,17 @@ class MomentumForm:
         return self.output(self.contracted_momenta(theta, g, n))
 
     def limit_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
-                  scales: Sequence[float]) -> np.ndarray:
-        """sum_l (dQ/dm_l) scales_l J_l F at the large-n momenta m, where F = Q(m)
-        is the large-n contracted update and J_l the Jacobian of slot l's
-        feature; one hvp serves every slot.  With scales = limit_scales this is
-        the Jacobian of the large-n contracted update applied to F."""
+                  scales: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """(F, sum_l (dQ/dm_l) scales_l J_l F) at the large-n momenta m, where
+        F = Q(m) is the large-n contracted update and J_l the Jacobian of slot
+        l's feature; one hvp serves every slot.  The second term is linear in
+        scales; with scales = limit_scales it is the Jacobian of the large-n
+        contracted update applied to F."""
         m = self.contracted_momenta(theta, g, None)
         F = self.output(m)
         hv = loss.hvp(theta, F)
         us = [c * self._feature_jvp(s.feature, g, F, hv) for c, s in zip(scales, self.slots)]
-        return self.output_jac_apply(m, us)
+        return F, self.output_jac_apply(m, us)
 
     def advance(self, sums: List[np.ndarray], theta: ParamVector, g: ParamVector,
                 n: int, exact_sign: bool = False):

@@ -1,13 +1,19 @@
-"""Modified-equation construction: assemble the drift G1 and the first-order
-correction field G2 (memory term plus discretization term), integrate
-theta' = G1 + h*G2 with classical fourth-order Runge-Kutta, and sweep the
-discrete-versus-continuous gap over h.
+"""Modified-equation construction: the drift G1 and the first-order
+correction field G2 (memory term plus discretization term) of
+theta' = G1 + h*G2, its integration with classical fourth-order Runge-Kutta,
+and the discrete-versus-continuous gap swept over h.
+
+G1 = -F, where F is the large-n contracted update, and
+G2 = -(c/h + grad(G1) G1 / 2), where c is the large-n memory correction.  Both
+terms of G2 are Jacobian-vector products along F through the momentum slots,
+with per-slot weights lag_scales (c/h) and limit_scales (grad(F) F), so one
+grad and one hvp give F and G2 together.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field as dc_field
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,51 +29,57 @@ DT_RATIO_DEFAULT = 8  # dt = h / DT_RATIO_DEFAULT
 
 @dataclass(eq=False)
 class ModifiedODE:
-    """Right-hand side G1(theta) + h*G2(theta) matching one discrete step to
-    third order in h."""
+    """theta' = G1(theta) + h*G2(theta), matching one discrete step to third
+    order in h.  field(theta) returns (G1, G2) from one evaluation at a
+    validated parameter vector; G1 and G2 validate their argument, rhs (the
+    integrator's hot path) does not."""
 
-    G1: Callable[[ParamVector], np.ndarray]
-    G2: Callable[[ParamVector], np.ndarray]
+    field: Callable[[ParamVector], Tuple[np.ndarray, np.ndarray]]
     h: float
-    meta: dict = field(default_factory=dict)
+    meta: dict = dc_field(default_factory=dict)
+
+    def G1(self, theta: ParamVector) -> np.ndarray:
+        return self.field(as_param_vector(theta))[0]
+
+    def G2(self, theta: ParamVector) -> np.ndarray:
+        return self.field(as_param_vector(theta))[1]
 
     def rhs(self, theta: ParamVector) -> np.ndarray:
-        return self.G1(theta) + self.h * self.G2(theta)
+        g1, g2 = self.field(theta)
+        return g1 + self.h * g2
 
 
 def build_modified_ode(spec: OptimizerSpec, loss: LossModel,
                        jacobian: str = "analytic", fd_step: float = 1e-6) -> ModifiedODE:
-    """G1 = -(large-n contracted update); G2 = -(correction/h + grad(G1) G1 / 2).
+    """G1 = -F and G2 = -(c/h + grad(G1) G1 / 2), with F the large-n
+    contracted update and c the large-n memory correction.
 
-    The Jacobian-vector term is derived from the momentum form (one hvp), or
-    taken by central differences of G1 when jacobian="fd".
+    jacobian="analytic" takes the field from the momentum form in one pass:
+    one grad and one hvp give F and, since limit_jvp is linear in its slot
+    weights, G2 = -limit_jvp with weights lag_scales + limit_scales / 2.
+    jacobian="fd" is the independent cross-check: c from correction_closed
+    and grad(G1) G1 by central differences of F.
     """
     form = momentum_form(spec)
+    if jacobian == "analytic":
+        scales = tuple(a + 0.5 * b for a, b in zip(form.lag_scales, form.limit_scales))
 
-    def F_limit(theta, g=None):
-        return form.contracted_F(loss, theta, None, g)
+        def field(theta):
+            F, jvp = form.limit_jvp(loss, theta, loss.grad(theta), scales)
+            return -F, -jvp
+    elif jacobian == "fd":
+        def F_limit(theta):
+            return form.contracted_F(loss, theta, None)
 
-    def G1(theta):
-        return -F_limit(as_param_vector(theta))
-
-    def jac_g1_g1(theta, g):
-        if jacobian == "analytic":
-            return form.limit_jvp(loss, theta, g, form.limit_scales)
-        if jacobian == "fd":
-            # grad(G1) G1 = -d/dt G1(theta + t F)|_0 since G1 = -F
-            F = F_limit(theta, g)
-            plus = F_limit(theta + fd_step * F)
-            minus = F_limit(theta - fd_step * F)
-            return (plus - minus) / (2.0 * fd_step)
+        def field(theta):
+            F = F_limit(theta)
+            # grad(G1) G1 = grad(F) F since G1 = -F
+            jac = (F_limit(theta + fd_step * F) - F_limit(theta - fd_step * F)) / (2.0 * fd_step)
+            c = correction_closed(spec, loss, theta, None).vector
+            return -F, -(c / spec.h + 0.5 * jac)
+    else:
         raise ValueError(f"unknown jacobian mode: {jacobian!r}")
-
-    def G2(theta):
-        theta = as_param_vector(theta)
-        g = loss.grad(theta)
-        c = correction_closed(spec, loss, theta, None).vector
-        return -(c / spec.h + 0.5 * jac_g1_g1(theta, g))
-
-    return ModifiedODE(G1=G1, G2=G2, h=spec.h,
+    return ModifiedODE(field=field, h=spec.h,
                        meta={"kind": spec.kind.value, "jacobian": jacobian})
 
 
@@ -86,7 +98,7 @@ def integrate_rk4(odesys: ModifiedODE, theta0: ParamVector, T: float,
         raise ValueError("dt must be <= h/4")
     substeps = max(4, int(math.ceil(h / dt - 1e-12)))
     dt = h / substeps
-    rhs = odesys.rhs if include_g2 else odesys.G1
+    rhs = odesys.rhs if include_g2 else (lambda th: odesys.field(th)[0])
 
     theta = np.array(as_param_vector(theta0), copy=True)
     n_samples = floor_steps(T, h)

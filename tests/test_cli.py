@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +286,47 @@ def test_json_config_equivalent_to_ini(sweep_cfg, tmp_path):
     jpath = tmp_path / "same.json"
     jpath.write_text(json.dumps(ini))
     assert config_hash(resolve_config(str(jpath))) == config_hash(ini)
+
+
+STOCK_HB_CFG = Path(__file__).resolve().parents[1] / "configs" / "heavyball_sweep.cfg"
+
+
+@pytest.mark.parametrize("command,gate", [("ode-compare", "ode-slope"),
+                                          ("defect", "defect-slope")])
+def test_degenerate_fit_with_invalid_points_fails(command, gate, tmp_path, capsys):
+    # every h point leaves the domain, so no slope can be fitted
+    out = tmp_path / "out"
+    rc = run_cli(command, "--config", STOCK_HB_CFG, "--out-dir", out, "--jobs", 1,
+                 "--set", "experiment.h_grid=200,100,50", "--set", "run.horizon=1e5")
+    assert rc == 1
+    assert f"[FAIL] {gate}" in capsys.readouterr().out
+    summary = json.loads(next(out.glob(f"{command}_*_summary.json")).read_text())
+    assert summary["status"] == "fail"
+
+
+def test_degenerate_fit_at_rounding_floor_passes(sweep_cfg, tmp_path, capsys):
+    # beta = 0: memoryless and memoryful iterations coincide, every point is
+    # valid and at the rounding floor
+    rc = run_cli("sweep", "--config", sweep_cfg, "--out-dir", tmp_path / "o", "--jobs", 1,
+                 "--set", "optimizer.beta1=0", "--set", "experiment.order=second")
+    assert rc == 0
+    assert "[PASS] slope-second: value=degenerate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("run", "horizon", [1]),
+    ("run", "seed", 7.5),
+    ("optimizer", "kind", 3),
+    ("experiment", "h_grid", [1e-2, "5e-3"]),
+    ("loss", "eig_min", [0.02]),
+])
+def test_json_value_of_wrong_type_exits_2_naming_key(section, key, value, sweep_cfg,
+                                                       tmp_path, capsys):
+    from memlens.cli import resolve_config
+    cfg = resolve_config(str(sweep_cfg))
+    cfg[section][key] = value
+    jpath = tmp_path / "bad.json"
+    jpath.write_text(json.dumps(cfg))
+    rc = run_cli("run", "--config", jpath, "--out-dir", tmp_path / "o")
+    assert rc == 2
+    assert f"{section}.{key}" in capsys.readouterr().err

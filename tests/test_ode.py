@@ -1,8 +1,13 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from memlens import (OptimizerSpec, RunConfig, build_modified_ode,
                      compare_discrete_vs_ode, integrate_rk4, make_quadratic)
+from memlens.correction import correction_closed
+from memlens.memoryful import momentum_form
 from memlens.ode import ModifiedODE
 
 from conftest import limit_specs, random_spd, rel_linf
@@ -52,6 +57,41 @@ def test_analytic_vs_fd_jacobian(rng):
         assert rel_linf(ode_a.G2(theta), ode_f.G2(theta)) <= 1e-6
 
 
+def test_fused_field_matches_unfused_terms(rng):
+    # G2 from one pass equals -(correction / h + grad(G1) G1 / 2) assembled
+    # from the closed-form correction and the form's Jacobian of F applied to F
+    loss = make_quadratic(random_spd(4, rng), rng.standard_normal(4))
+    h = 1e-2
+    for spec in limit_specs(h):
+        ode = build_modified_ode(spec, loss)
+        form = momentum_form(spec)
+        theta = rng.standard_normal(4)
+        F, jac_F_F = form.limit_jvp(loss, theta, loss.grad(theta), form.limit_scales)
+        G2 = -(correction_closed(spec, loss, theta, None).vector / h + 0.5 * jac_F_F)
+        assert rel_linf(ode.G1(theta), -F) == 0.0
+        assert rel_linf(ode.G2(theta), G2) <= 1e-14
+        assert rel_linf(ode.rhs(theta), -F + h * G2) <= 1e-14
+
+
+def test_rhs_makes_one_grad_and_one_hvp(rng):
+    loss = make_quadratic(random_spd(4, rng), rng.standard_normal(4))
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    counting = dataclasses.replace(loss, **{name: counted(name, getattr(loss, name))
+                                            for name in ("value", "grad", "hvp")})
+    for spec in limit_specs(1e-2):
+        ode = build_modified_ode(spec, counting)
+        counts.clear()
+        ode.rhs(rng.standard_normal(4))
+        assert counts == Counter(grad=1, hvp=1), spec
+
+
 def test_rk4_matches_exact_linear_flow(rng):
     # theta' = -(A theta - b) has the closed-form solution through the
     # eigendecomposition of A
@@ -60,7 +100,7 @@ def test_rk4_matches_exact_linear_flow(rng):
     loss = make_quadratic(A, b)
     theta0 = rng.standard_normal(3)
     h, T = 1e-2, 1.0
-    ode = ModifiedODE(G1=lambda th: -(A @ th - b), G2=lambda th: np.zeros(3), h=h)
+    ode = ModifiedODE(field=lambda th: (-(A @ th - b), np.zeros(3)), h=h)
     flow = integrate_rk4(ode, theta0, T, dt=h / 8)
     w, V = np.linalg.eigh(A)
     fixed_point = np.linalg.solve(A, b)
