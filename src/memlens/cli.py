@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import correction as corr
-from .core import Kind, KSpec, OptimizerSpec, RunConfig, fmt_float, write_csv
+from .core import (Kind, KSpec, OptimizerSpec, RunConfig, floor_steps, fmt_float,
+                   write_csv)
 from .harness import (SweepReport, defect_sweep, global_error_sweep,
                       n_burn_steps, ordering_fraction, trajectory_closeness)
 from .losses import (family_from_config, fd_check_grad, fd_check_hvp,
@@ -131,6 +132,32 @@ SCHEMA = {
     },
 }
 
+
+def _unit(v):
+    return 0.0 <= v <= 1.0
+
+
+def _positive(v):
+    return 0.0 < v < math.inf
+
+
+# [experiment] key -> (check, rule) on the parsed value; every comparison is
+# false on NaN, so a NaN fails each check
+_EXPERIMENT_RANGES = {
+    "h_grid": (lambda v: all(map(_positive, v)), "a list of finite entries > 0"),
+    "samples": (lambda v: v >= 100, ">= 100"),
+    "n_list": (lambda v: all(n >= 0 for n in v), "a list of entries >= 0"),
+    "n_max": (lambda v: v >= 0, ">= 0"),
+    "dt_ratio": (lambda v: v >= 4, ">= 4"),
+    "slope_min": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "slope_max": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "r2_min": (_unit, "in [0, 1]"),
+    "fraction_min": (_unit, "in [0, 1]"),
+    "corr_tol": (_positive, "finite and > 0"),
+    "gradcheck_tol": (_positive, "finite and > 0"),
+    "burn_in_tol": (_positive, "finite and > 0"),
+}
+
 _BIAS_DEFAULT = {Kind.ADAMW: True, Kind.NADAMW: True, Kind.LION_K: False,
                  Kind.HEAVY_BALL: False, Kind.NESTEROV: False}
 
@@ -195,16 +222,18 @@ def resolve_config(path: str, overrides=()) -> dict:
                     raise ConfigError(f"missing required config key: {sec}.{key}")
                 resolved[sec].setdefault(key, default)
 
-    dt_ratio = resolved["experiment"]["dt_ratio"]
-    if not dt_ratio >= 4:  # also rejects a NaN from a JSON config
-        raise ConfigError(f"experiment.dt_ratio must be >= 4, got {dt_ratio}")
+    for key, (ok, rule) in _EXPERIMENT_RANGES.items():
+        value = resolved["experiment"][key]
+        if not ok(value):
+            raise ConfigError(f"experiment.{key} must be {rule}, got {value!r}")
 
     loss_sec = dict(raw.get("loss", {}))
     if "id" not in loss_sec:
         raise ConfigError("missing required config key: loss.id")
     for k, v in loss_sec.items():
-        if not isinstance(v, (str, bool, int, float)):
-            raise ConfigError(f"bad value for loss.{k}: {v!r} (expected a number or a string)")
+        if not isinstance(v, (str, bool, int, float)) or v == "":
+            raise ConfigError(f"bad value for loss.{k}: {v!r} "
+                              "(expected a number or a non-empty string)")
     resolved["loss"] = {k: (v if not isinstance(v, str) else _coerce_scalar(v))
                         for k, v in loss_sec.items()}
 
@@ -333,8 +362,6 @@ def _need_h_grid(resolved):
     grid = resolved["experiment"]["h_grid"]
     if not grid:
         raise ConfigError("missing required config key: experiment.h_grid")
-    if not all(0.0 < h < math.inf for h in grid):
-        raise ConfigError(f"experiment.h_grid entries must be finite and > 0, got {grid}")
     return grid
 
 
@@ -404,8 +431,15 @@ def cmd_defect(resolved, out_dir, jobs):
 def cmd_closeness(resolved, out_dir, jobs):
     config = build_run_config(resolved)
     grid = _need_h_grid(resolved)
+    tol = resolved["experiment"]["burn_in_tol"]
+    n_burn = n_burn_steps(config.optimizer, tol)
+    for h in grid:
+        steps = floor_steps(config.horizon, h)
+        if steps < n_burn:  # the ordering gate needs a step past the burn-in
+            raise ConfigError(f"run.horizon={config.horizon} gives {steps} steps at h={h}, "
+                              f"fewer than the {n_burn}-step burn-in "
+                              f"(experiment.burn_in_tol={tol})")
     data = trajectory_closeness(config, grid)
-    n_burn = n_burn_steps(config.optimizer, resolved["experiment"]["burn_in_tol"])
     stem = f"closeness_{config.optimizer.kind.value}_{config_hash(resolved)}"
     rows = []
     gates = []
@@ -415,8 +449,13 @@ def cmd_closeness(resolved, out_dir, jobs):
         for i in range(len(per_h["n"])):
             rows.append([h, int(per_h["n"][i]), per_h["t"][i],
                          per_h["gap_second"][i], per_h["gap_first"][i]])
-        frac = ordering_fraction(per_h, n_burn)
-        gates.append(_gate(f"ordering-h={h}", frac, frac >= fr_min, f">= {fr_min}"))
+        exits = [f"{run}@{n}" for run, n in zip(("memoryful", "second", "first"),
+                                                per_h["domain_exit"]) if n is not None]
+        gates.append(_gate(f"clean-run-h={h}", ", ".join(exits) or "none", not exits,
+                           "no domain exit"))
+        if not exits:
+            frac = ordering_fraction(per_h, n_burn)
+            gates.append(_gate(f"ordering-h={h}", frac, frac >= fr_min, f">= {fr_min}"))
     write_csv(out_dir / f"{stem}.csv", ["h", "n", "t", "gap_second", "gap_first"], rows)
     return _finish(out_dir, stem, resolved, gates, {"n_burn": n_burn})
 

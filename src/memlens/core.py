@@ -183,6 +183,11 @@ class RunConfig:
             raise ValueError("horizon T must be finite and > 0")
         if not math.isfinite(self.theta0_scale):
             raise ValueError("theta0_scale must be finite")
+        if not isinstance(self.theta0, str):
+            try:
+                as_param_vector(np.array(self.theta0, dtype=np.float64), self.dimension)
+            except ValueError as exc:
+                raise ValueError(f"theta0: {exc}") from exc
 
     def n_steps(self) -> int:
         """floor(T / h) for the optimizer's h."""

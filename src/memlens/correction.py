@@ -38,6 +38,10 @@ class CorrectionTerm:
     n: Optional[int]  # None means the large-n limit
     method: Method
     meta: dict = field(default_factory=dict)
+    # loss.grad(theta) as the route evaluated it, so a memoryless step pays no
+    # second grad (every route of correction_closed sets it; the brute-force
+    # reference does not)
+    grad: Optional[np.ndarray] = None
 
 
 def _prefix_contracted(form: MomentumForm, theta: ParamVector, g: ParamVector,
@@ -92,10 +96,10 @@ def correction_contraction(spec: OptimizerSpec, loss: LossModel,
     theta = as_param_vector(theta)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return CorrectionTerm(np.zeros(theta.size), 0, Method.CONTRACTION)
-    form = momentum_form(spec)
     g = loss.grad(theta)
+    if n == 0:
+        return CorrectionTerm(np.zeros(theta.size), 0, Method.CONTRACTION, grad=g)
+    form = momentum_form(spec)
     P = _prefix_contracted(form, theta, g, n)
     # V[k-1] = P[n] - P[n-k] = sum of contracted F^(s) over the k steps before n
     V = P[n][None, :] - P[:n][::-1]
@@ -110,7 +114,7 @@ def correction_contraction(spec: OptimizerSpec, loss: LossModel,
         w_vec = weights @ V
         us.append(slot.bias(n) * form.feature_jvp(loss, theta, g, l, w_vec))
     c = form.output_jac_apply(m_top, us)
-    return CorrectionTerm(spec.h * c, n, Method.CONTRACTION)
+    return CorrectionTerm(spec.h * c, n, Method.CONTRACTION, grad=g)
 
 
 def _ema_lag_coefficient(beta: float, n: Optional[int]) -> float:
@@ -126,14 +130,19 @@ def _ema_lag_coefficient(beta: float, n: Optional[int]) -> float:
 def heavyball_bracket(beta: float, n: Optional[int]) -> float:
     """Finite-n attenuation of the heavy-ball correction; 1 in the limit.
 
-    Algebraically 1 - (2n+1) beta^n (1-beta) - beta^(2n+1), but evaluated as
-    the cancellation-free positive sum (1-beta) * sum_i beta^(n-i) (1-beta^i)^2
-    (pair the geometric terms around beta^n).  At n = 1 this is (1-beta)^3
-    exactly, so the n = 1 coefficient reduces to beta."""
+    Algebraically 1 - tail with tail = (2n+1) beta^n (1-beta) + beta^(2n+1),
+    which costs O(1) and loses at most one bit while tail <= 1/2.  Above that
+    it is evaluated as the cancellation-free positive sum
+    (1-beta) * sum_i beta^(n-i) (1-beta^i)^2 (pair the geometric terms around
+    beta^n), whose n is then at most about 2.3/(1-beta).  At n = 1 this is
+    (1-beta)^3 exactly, so the n = 1 coefficient reduces to beta."""
     if n is None:
         return 1.0
     if n <= 0:
         return 0.0
+    tail = (2 * n + 1) * (1.0 - beta) * beta ** n + beta ** (2 * n + 1)
+    if tail <= 0.5:
+        return 1.0 - tail
     i = np.arange(1, n + 1, dtype=np.float64)
     terms = beta ** (n - i) * (1.0 - beta ** i) ** 2
     return float((1.0 - beta) * np.sum(terms))
@@ -143,15 +152,15 @@ def correction_closed_heavyball(spec: OptimizerSpec, loss: LossModel,
                                 theta: ParamVector, n: Optional[int] = None) -> CorrectionTerm:
     """h * beta * bracket(n) / (1-beta)^3 * hvp(theta, grad): one hvp."""
     theta = as_param_vector(theta)
+    g = loss.grad(theta)
     if n == 0:
         # empty sum; the bracket is zero only up to rounding
-        return CorrectionTerm(np.zeros(theta.size), 0, Method.CLOSED_FORM_FINITE_N)
+        return CorrectionTerm(np.zeros(theta.size), 0, Method.CLOSED_FORM_FINITE_N, grad=g)
     beta = spec.beta1
-    g = loss.grad(theta)
     coef = spec.h * beta * heavyball_bracket(beta, n) / (1.0 - beta) ** 3
     vec = coef * loss.hvp(theta, g)
     method = Method.CLOSED_FORM_ASYMPTOTIC if n is None else Method.CLOSED_FORM_FINITE_N
-    return CorrectionTerm(vec, n, method)
+    return CorrectionTerm(vec, n, method, grad=g)
 
 
 def correction_closed_nesterov(spec: OptimizerSpec, loss: LossModel,
@@ -161,7 +170,7 @@ def correction_closed_nesterov(spec: OptimizerSpec, loss: LossModel,
     beta = spec.beta1
     g = loss.grad(theta)
     vec = spec.h * beta ** 2 / (1.0 - beta) ** 3 * loss.hvp(theta, g)
-    return CorrectionTerm(vec, None, Method.CLOSED_FORM_ASYMPTOTIC)
+    return CorrectionTerm(vec, None, Method.CLOSED_FORM_ASYMPTOTIC, grad=g)
 
 
 def correction_closed_adamw(spec: OptimizerSpec, loss: LossModel,
@@ -179,7 +188,7 @@ def correction_closed_adamw(spec: OptimizerSpec, loss: LossModel,
     a2 = _ema_lag_coefficient(spec.beta2, n)
     vec = spec.h * (a1 - a2 + eps * a2 / den2) * direction / den
     method = Method.CLOSED_FORM_ASYMPTOTIC if n is None else Method.CLOSED_FORM_FINITE_N
-    return CorrectionTerm(vec, n, method)
+    return CorrectionTerm(vec, n, method, grad=g)
 
 
 def correction_closed_nadamw(spec: OptimizerSpec, loss: LossModel,
@@ -196,7 +205,7 @@ def correction_closed_nadamw(spec: OptimizerSpec, loss: LossModel,
     a1 = spec.beta1 ** 2 / (1.0 - spec.beta1)
     a2 = spec.beta2 / (1.0 - spec.beta2)
     vec = spec.h * (a1 - a2 + eps * a2 / den2) * direction / den
-    return CorrectionTerm(vec, None, Method.CLOSED_FORM_ASYMPTOTIC)
+    return CorrectionTerm(vec, None, Method.CLOSED_FORM_ASYMPTOTIC, grad=g)
 
 
 def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
@@ -220,7 +229,7 @@ def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
     g = loss.grad(theta)
     kg = form.kgrad(-g)
     vec = -spec.h * coef * form.khess_diag(-g) * loss.hvp(theta, kg - spec.lam * theta)
-    return CorrectionTerm(vec, n, method)
+    return CorrectionTerm(vec, n, method, grad=g)
 
 
 def correction_limit(spec: OptimizerSpec, loss: LossModel,
@@ -230,8 +239,9 @@ def correction_limit(spec: OptimizerSpec, loss: LossModel,
     window sums to k F and sum_k k beta^k = beta/(1-beta)^2.  One hvp."""
     theta = as_param_vector(theta)
     form = momentum_form(spec)
-    vec = spec.h * form.limit_jvp(loss, theta, loss.grad(theta), form.lag_scales)[1]
-    return CorrectionTerm(vec, None, Method.CONTRACTION)
+    g = loss.grad(theta)
+    vec = spec.h * form.limit_jvp(loss, theta, g, form.lag_scales)[1]
+    return CorrectionTerm(vec, None, Method.CONTRACTION, grad=g)
 
 
 def correction_closed(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,

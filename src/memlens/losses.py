@@ -4,6 +4,7 @@ and the mini-batch quadratic family used for permutation-averaging studies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -66,8 +67,8 @@ def make_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
         raise ValueError("X must be (m, d) with matching labels")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +-1")
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError("ridge must be finite and >= 0")
     m = X.shape[0]
 
     def margins(theta):
@@ -95,8 +96,8 @@ def make_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
 
 def make_scalar_quartic(a: float, domain_radius: float = DOMAIN_RADIUS_DEFAULT) -> LossModel:
     """d = 1 loss a*theta^4/4: nonconstant Hessian, exact derivatives."""
-    if a <= 0.0:
-        raise ValueError("a must be > 0")
+    if not 0.0 < a < math.inf:
+        raise ValueError("a must be finite and > 0")
 
     return LossModel(
         value=lambda theta: float(a * np.asarray(theta)[0] ** 4 / 4.0),
@@ -182,8 +183,8 @@ def make_minibatch_quadratics(count: int, d: int, spread: float, seed: int) -> M
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    if spread < 0.0:
-        raise ValueError("spread must be >= 0")
+    if not 0.0 <= spread < math.inf:
+        raise ValueError("spread must be finite and >= 0")
     g = rng(seed, "minibatch-quadratic")
     q, _ = np.linalg.qr(g.standard_normal((d, d)))
     eigs = np.exp(g.uniform(np.log(0.5), np.log(2.0), size=d))
@@ -210,11 +211,13 @@ def loss_from_config(loss_id: str, params: dict, dimension: int, seed: int) -> L
     """Build the loss fixture addressed by a string id plus parameters."""
     params = dict(params)
     radius = float(params.pop("domain_radius", DOMAIN_RADIUS_DEFAULT))
+    if not radius > 0.0:
+        raise ValueError(f"domain_radius must be > 0, got {radius}")
     if loss_id == "quadratic":
         eig_min = float(params.pop("eig_min", 0.5))
         eig_max = float(params.pop("eig_max", 2.0))
-        if eig_min <= 0 or eig_max < eig_min:
-            raise ValueError("quadratic needs 0 < eig_min <= eig_max")
+        if not 0.0 < eig_min <= eig_max < math.inf:
+            raise ValueError("quadratic needs 0 < eig_min <= eig_max < inf")
         g = rng(seed, "quadratic-fixture")
         q, _ = np.linalg.qr(g.standard_normal((dimension, dimension)))
         eigs = np.exp(g.uniform(np.log(eig_min), np.log(eig_max), size=dimension))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -293,17 +294,20 @@ def drive(config: RunConfig, loss: LossModel,
     """floor(T/h) steps theta^(n+1) = step(theta^(n), n) from theta^(0),
     recording every iterate and its loss.  The run stops early, recording the
     step in domain_exit, at an iterate outside the loss domain (step n) or a
-    non-finite one (step n+1, not recorded)."""
+    non-finite one (step n+1, not recorded).  One reduction per step serves
+    both checks: max |theta_i| is NaN or inf exactly when theta is not finite."""
     theta = config.initial_theta()
     iterates = [theta]
     losses = [loss.value(theta)]
     exit_step = None
+    size = float(np.abs(theta).max())
     for n in range(config.n_steps()):
-        if not loss.in_domain(theta):
+        if not size < loss.domain_radius:
             exit_step = n
             break
         theta = step(theta, n)
-        if not np.isfinite(theta).all():
+        size = float(np.abs(theta).max())
+        if not math.isfinite(size):
             exit_step = n + 1
             break
         iterates.append(theta)

@@ -49,14 +49,16 @@ class MemorylessKind:
 
 def step_memoryless(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
                     n: int, kind: MemorylessKind) -> ParamVector:
-    """theta - h * [contracted update + correction] at step n."""
+    """theta - h * [contracted update + correction] at step n.  One grad per
+    step: the second-order step reuses the one its correction evaluated."""
     theta = as_param_vector(theta)
-    if kind.order is Order.SECOND_ORDER and kind.variant is CorrectionVariant.ASYMPTOTIC:
-        n = None  # large-n coefficients in both terms
-    F = momentum_form(spec).contracted_F(loss, theta, n, loss.grad(theta))
+    form = momentum_form(spec)
     if kind.order is Order.FIRST_ORDER:
-        return theta - spec.h * F
-    return theta - spec.h * (F + correction_closed(spec, loss, theta, n).vector)
+        return theta - spec.h * form.contracted_F(loss, theta, n, loss.grad(theta))
+    if kind.variant is CorrectionVariant.ASYMPTOTIC:
+        n = None  # large-n coefficients in both terms
+    term = correction_closed(spec, loss, theta, n)
+    return theta - spec.h * (form.contracted_F(loss, theta, n, term.grad) + term.vector)
 
 
 def run_memoryless(config: RunConfig, kind: MemorylessKind,

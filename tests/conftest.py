@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -57,3 +60,17 @@ def limit_specs(h=1e-3):
         OptimizerSpec.adamw(h, 0.9, 0.95, lam=0.1, eps=1e-4, bias_correction=False),
         OptimizerSpec.nadamw(h, 0.85, 0.9, lam=0.1, eps=1e-4, bias_correction=False),
     ]
+
+
+def counting_loss(loss):
+    """(loss with counted oracles, Counter of value/grad/hvp calls)."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    return dataclasses.replace(loss, **{name: counted(name, getattr(loss, name))
+                                        for name in ("value", "grad", "hvp")}), counts

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memlens.cli import build_parser, main
 
@@ -71,6 +75,13 @@ def test_unknown_override_key_named(sweep_cfg, tmp_path, capsys):
     ("run.theta0_scale=nan", "theta0_scale"),
     ("experiment.dt_ratio=0", "experiment.dt_ratio"),
     ("experiment.dt_ratio=2", "experiment.dt_ratio"),
+    ("experiment.n_max=-3", "experiment.n_max"),
+    ("experiment.n_list=-1", "experiment.n_list"),
+    ("experiment.fraction_min=nan", "experiment.fraction_min"),
+    ("experiment.r2_min=1.5", "experiment.r2_min"),
+    ("experiment.corr_tol=0", "experiment.corr_tol"),
+    ("experiment.burn_in_tol=inf", "experiment.burn_in_tol"),
+    ("experiment.samples=99", "experiment.samples"),
 ])
 def test_bad_value_exits_2_naming_key(override, key, sweep_cfg, tmp_path, capsys):
     rc = run_cli("sweep", "--config", sweep_cfg, "--out-dir", tmp_path / "o",
@@ -330,3 +341,65 @@ def test_json_value_of_wrong_type_exits_2_naming_key(section, key, value, sweep_
     rc = run_cli("run", "--config", jpath, "--out-dir", tmp_path / "o")
     assert rc == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+STOCK_ADAM_CLOSENESS_CFG = STOCK_HB_CFG.parent / "adam_closeness.cfg"
+
+
+def test_closeness_domain_exit_fails_named_gate(tmp_path, capsys):
+    # theta^(0) lies outside |theta| < 0.5, so every trajectory exits at step 0
+    out = tmp_path / "out"
+    rc = run_cli("closeness", "--config", STOCK_ADAM_CLOSENESS_CFG, "--out-dir", out,
+                 "--jobs", 1, "--set", "loss.domain_radius=0.5")
+    assert rc == 1
+    assert "[FAIL] clean-run-h=0.0001" in capsys.readouterr().out
+    summary = json.loads(next(out.glob("closeness_*_summary.json")).read_text())
+    assert summary["status"] == "fail"
+
+
+def test_closeness_shorter_than_burn_in_exits_2(tmp_path, capsys):
+    rc = run_cli("closeness", "--config", STOCK_ADAM_CLOSENESS_CFG, "--out-dir",
+                 tmp_path / "o", "--jobs", 1, "--set", "run.horizon=1e-4")
+    assert rc == 2
+    assert "run.horizon" in capsys.readouterr().err
+
+
+# key -> one valid value; every override draws it or one of the bad values
+OVERRIDE_VALUES = {
+    "run.seed": "3", "run.dimension": "3", "run.horizon": "0.01",
+    "run.theta0": "ones", "run.theta0_scale": "0.5",
+    "loss.eig_min": "0.5", "loss.eig_max": "2", "loss.domain_radius": "50",
+    "optimizer.kind": "nesterov", "optimizer.h": "1e-2", "optimizer.beta1": "0.5",
+    "optimizer.beta2": "0.9", "optimizer.lambda": "0.1", "optimizer.eps": "1e-4",
+    "optimizer.bias_correction": "true",
+    "experiment.n_list": "1,5", "experiment.corr_tol": "1e-6",
+}
+BAD_VALUES = ["nan", "inf", "-1", "0", ""]
+STOCK_CONFIGS = {"run": STOCK_HB_CFG, "corr-table": STOCK_HB_CFG.parent / "adamw_corr_table.cfg"}
+
+
+@st.composite
+def overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(OVERRIDE_VALUES)), unique=True, max_size=4))
+    return [f"{k}={draw(st.sampled_from(BAD_VALUES + [OVERRIDE_VALUES[k]]))}" for k in keys]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(sorted(STOCK_CONFIGS)), sets=overrides())
+def test_overrides_keep_the_exit_code_contract(command, sets):
+    # rc 0 all gates passed, 1 a gate failed, 2 a config error; never a traceback
+    argv = [command, "--config", STOCK_CONFIGS[command], "--jobs", 1,
+            "--set", "run.horizon=0.05"]
+    for item in sets:
+        argv += ["--set", item]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = run_cli(*argv, "--out-dir", out)
+        summaries = [json.loads(p.read_text()) for p in Path(out).glob("*_summary.json")]
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert summaries == [] and err.getvalue().strip()
+    else:
+        assert [s["status"] for s in summaries] == ["pass" if rc == 0 else "fail"]

@@ -39,6 +39,22 @@ def test_heavyball_bracket_n1_equals_cubed(beta):
     assert heavyball_bracket(beta, 1) == pytest.approx((1 - beta) ** 3, rel=1e-12)
 
 
+def _bracket_positive_sum(beta, n):
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return float((1.0 - beta) * np.sum(beta ** (n - i) * (1.0 - beta ** i) ** 2))
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.9, 0.99, 0.999])
+def test_heavyball_bracket_matches_positive_sum(beta):
+    # every n below 2,500 (both branches and the switch between them), then a
+    # stride through n < 20,000
+    ns = list(range(1, 2500)) + list(range(2500, 20000, 97))
+    got = np.array([heavyball_bracket(beta, n) for n in ns])
+    ref = np.array([_bracket_positive_sum(beta, n) for n in ns])
+    ulp = np.spacing(np.maximum(got, ref))
+    assert np.all(np.abs(got - ref) <= 4 * ulp)
+
+
 def test_heavyball_asymptotic_spec_value():
     # beta=0.5, h=0.01, quadratic A=1 (d=1), theta=1: 0.01*0.5/(2*0.125)*2*1 = 0.04
     loss = make_quadratic(np.array([[1.0]]), np.zeros(1))
@@ -246,3 +262,11 @@ def test_fallbacks_flagged(quad4, rng):
         correction_closed_lionk(lion, quad4, theta, 5)
     assert correction_closed(OptimizerSpec.nesterov(1e-3, 0.8), quad4, theta).method \
         is Method.CLOSED_FORM_ASYMPTOTIC
+
+
+@pytest.mark.parametrize("spec", limit_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")
+def test_closed_term_carries_its_grad(spec, quad4, rng):
+    # the memoryless step reuses term.grad in place of a second grad call
+    theta = rng.standard_normal(4)
+    for n in (None, 0, 1, 7, 60):
+        assert np.array_equal(correction_closed(spec, quad4, theta, n).grad, quad4.grad(theta))

@@ -3,7 +3,8 @@ import pytest
 
 from memlens import (KSpec, LossModel, OptimizerSpec, RunConfig,
                      eval_F_history, make_quadratic, run_memoryful, step_state)
-from memlens.memoryful import HistoryBuffer, MomentumState, momentum_form
+from memlens.losses import loss_from_config
+from memlens.memoryful import HistoryBuffer, MomentumState, drive, momentum_form
 
 from conftest import all_kind_specs
 
@@ -183,6 +184,44 @@ def test_domain_exit_records_partial_trajectory():
     traj = run_memoryful(cfg)
     assert traj.domain_exit is not None
     assert len(traj) < cfg.n_steps() + 1
+
+
+def drive_doubling(theta0, radius=1.0, bad_step=None, bad_value=np.nan):
+    """drive with a step that doubles theta, and returns bad_value at step
+    bad_step; the domain is |theta| < radius."""
+    spec = OptimizerSpec.heavy_ball(0.1, 0.5)
+    cfg = RunConfig(seed=0, dimension=1, horizon=1.0, loss_id="quadratic",
+                    loss_params={"domain_radius": radius}, optimizer=spec,
+                    theta0=(theta0,))
+    loss = loss_from_config(cfg.loss_id, cfg.loss_params, 1, 0)
+
+    def step(theta, n):
+        return np.full(1, bad_value) if n == bad_step else 2.0 * theta
+
+    return drive(cfg, loss, step, {})
+
+
+def test_domain_exit_at_initial_point():
+    traj = drive_doubling(1.5)
+    assert traj.domain_exit == 0
+    assert traj.iterates.tolist() == [[1.5]] and len(traj.loss_values) == 1
+
+
+def test_domain_exit_after_step_records_the_iterate():
+    # 0.25 -> 0.5 -> 1.0: step 1 lands on the boundary, which is outside, so
+    # the run records it and stops before step 2
+    traj = drive_doubling(0.25)
+    assert traj.domain_exit == 2
+    assert traj.iterates.tolist() == [[0.25], [0.5], [1.0]]
+    assert len(traj.loss_values) == 3
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_non_finite_step_exits_unrecorded(bad_value):
+    traj = drive_doubling(0.01, bad_step=2, bad_value=bad_value)
+    assert traj.domain_exit == 3
+    assert traj.iterates.tolist() == [[0.01], [0.02], [0.04]]
+    assert len(traj.loss_values) == 3
 
 
 def test_exact_sign_variant_runs():

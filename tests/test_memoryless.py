@@ -3,10 +3,13 @@ import pytest
 
 from memlens import (OptimizerSpec, RunConfig, linf_distance, one_step_defect,
                      run_memoryful, run_memoryless, step_memoryless)
-from memlens.correction import correction_closed_lionk
+from memlens.correction import correction_closed, correction_closed_lionk
+from memlens.memoryful import momentum_form
 from memlens.memoryless import (CorrectionVariant, MemorylessKind, Order,
                                 adamw_memoryless_reference,
                                 lion_eps_memoryless_reference)
+
+from conftest import counting_loss, limit_specs
 
 def quad_config(spec, d=4, T=0.3, seed=5):
     return RunConfig(seed=seed, dimension=d, horizon=T, loss_id="quadratic",
@@ -148,3 +151,22 @@ def test_first_order_ignores_variant(quad4, rng):
     b = step_memoryless(spec, quad4, theta, 5, MemorylessKind(Order.FIRST_ORDER,
                                                               CorrectionVariant.ASYMPTOTIC))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", limit_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")
+def test_second_order_step_makes_one_grad(spec, quad4, rng):
+    # one grad serves the contracted update and the correction; a closed form
+    # (or the large-n limit) adds one hvp, the contraction fallback one per
+    # memory slot.  The step is bitwise the sum of its separately evaluated terms.
+    counting, counts = counting_loss(quad4)
+    form = momentum_form(spec)
+    theta = rng.standard_normal(4)
+    for variant, n in ((CorrectionVariant.FINITE_N, 7), (CorrectionVariant.ASYMPTOTIC, None)):
+        term = correction_closed(spec, quad4, theta, n)
+        expected = theta - spec.h * (form.contracted_F(quad4, theta, n) + term.vector)
+        counts.clear()
+        got = step_memoryless(spec, counting, theta, 7, MemorylessKind.second(variant))
+        assert np.array_equal(got, expected)
+        assert counts["grad"] == 1 and counts["value"] == 0
+        if n is None or "fallback" not in term.meta:
+            assert counts["hvp"] == 1

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -10,7 +9,7 @@ from memlens.correction import correction_closed
 from memlens.memoryful import momentum_form
 from memlens.ode import ModifiedODE
 
-from conftest import limit_specs, random_spd, rel_linf
+from conftest import counting_loss, limit_specs, random_spd, rel_linf
 
 
 def hb_config(h=1e-2, beta=0.9, d=4, T=1.0, eig=(0.02, 0.2)):
@@ -74,17 +73,8 @@ def test_fused_field_matches_unfused_terms(rng):
 
 
 def test_rhs_makes_one_grad_and_one_hvp(rng):
-    loss = make_quadratic(random_spd(4, rng), rng.standard_normal(4))
-    counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-
-    counting = dataclasses.replace(loss, **{name: counted(name, getattr(loss, name))
-                                            for name in ("value", "grad", "hvp")})
+    counting, counts = counting_loss(make_quadratic(random_spd(4, rng),
+                                                    rng.standard_normal(4)))
     for spec in limit_specs(1e-2):
         ode = build_modified_ode(spec, counting)
         counts.clear()
