@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .memoryless import CorrectionVariant, MemorylessKind
 from .minibatch import (expected_correction_decomposed, expected_correction_exhaustive,
                         expected_correction_mc, modified_loss_minibatch,
                         perm_coefficients)
-from .ode import compare_discrete_vs_ode
+from .ode import ODE_TARGETS, compare_discrete_vs_ode
 
 COMMANDS = ("run", "sweep", "defect", "closeness", "ode-compare",
             "minibatch-corr", "corr-table", "gradcheck")
@@ -89,48 +90,17 @@ def _config_text(value, parser) -> str:
     return ",".join(repr(v) for v in items)
 
 
-# section -> key -> (parser, default, help text with units).  [loss] accepts
-# additional per-loss parameters validated by the loss factory itself.
-SCHEMA = {
-    "run": {
-        "seed": (int, 0, "64-bit RNG seed (dimensionless)"),
-        "dimension": (int, 2, "parameter dimension d (count)"),
-        "horizon": (float, 1.0, "time horizon T (time units; iterations = floor(T/h))"),
-        "theta0": (_parse_theta0, "gauss", "initial point: gauss|zeros|ones or comma floats"),
-        "theta0_scale": (float, 1.0, "scale of the gauss initial point (dimensionless)"),
-    },
-    "optimizer": {
-        "kind": (str, None, "heavyball|nesterov|adamw|nadamw|lionk|signum"),
-        "h": (float, None, "learning rate / step size (time units per step)"),
-        "beta1": (float, 0.0, "first momentum parameter in [0,1) (rho1 for lionk)"),
-        "beta2": (float, 0.0, "second momentum parameter in [0,1) (rho2 for lionk)"),
-        "lambda": (float, 0.0, "decoupled weight decay coefficient (1/time)"),
-        "eps": (float, 1e-8, "stability / smoothing parameter (dimensionless, > 0)"),
-        "kspec": (str, "smoothed-one-norm",
-                  "lionk convexity choice: smoothed-one-norm|half-squared-two-norm"),
-        "bias_correction": (_parse_bool, None,
-                            "n-dependent average prefactors (default: kind-specific)"),
-    },
-    "experiment": {
-        "h_grid": (_parse_floats, (), "comma list of step sizes for sweeps (time units)"),
-        "order": (str, "second", "memoryless flavor: first|second|both"),
-        "correction_variant": (str, "finite-n", "finite-n|asymptotic"),
-        "samples": (int, 2000, "Monte Carlo sample count (count, >= 100)"),
-        "n_list": (_parse_ints, (1, 5, 50, 200), "step indices for corr-table (count)"),
-        "n_max": (int, 0, "cap on defect steps per h; 0 = no cap (count)"),
-        "dt_ratio": (int, 8, "ODE integrator substeps per h (count, >= 4)"),
-        "ode_target": (str, "memoryless-asymptotic",
-                       "discrete side of ode-compare: memoryless-asymptotic|"
-                       "memoryless-finite-n|memoryful"),
-        "slope_min": (float, 0.0, "lower slope gate; 0 = per-command default"),
-        "slope_max": (float, 0.0, "upper slope gate; 0 = per-command default"),
-        "r2_min": (float, 0.98, "minimum r^2 for an asserted slope (dimensionless)"),
-        "fraction_min": (float, 0.95, "closeness ordering gate (fraction of steps)"),
-        "corr_tol": (float, 1e-6, "relative gap gate for corr-table (dimensionless)"),
-        "gradcheck_tol": (float, 1e-5, "relative error gate for gradcheck (dimensionless)"),
-        "burn_in_tol": (float, 1e-10, "coefficient tail defining the burn-in cutoff"),
-    },
-}
+class Key(NamedTuple):
+    """One config key: the parser of its text, its default (None: required),
+    its help text with units, and an optional check of the parsed value with
+    the rule the check enforces (every comparison is false on NaN, so a NaN
+    fails each numeric check)."""
+
+    parser: Callable
+    default: object
+    help: str
+    check: Optional[Callable] = None
+    rule: str = ""
 
 
 def _unit(v):
@@ -141,21 +111,68 @@ def _positive(v):
     return 0.0 < v < math.inf
 
 
-# [experiment] key -> (check, rule) on the parsed value; every comparison is
-# false on NaN, so a NaN fails each check
-_EXPERIMENT_RANGES = {
-    "h_grid": (lambda v: all(map(_positive, v)), "a list of finite entries > 0"),
-    "samples": (lambda v: v >= 100, ">= 100"),
-    "n_list": (lambda v: all(n >= 0 for n in v), "a list of entries >= 0"),
-    "n_max": (lambda v: v >= 0, ">= 0"),
-    "dt_ratio": (lambda v: v >= 4, ">= 4"),
-    "slope_min": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "slope_max": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "r2_min": (_unit, "in [0, 1]"),
-    "fraction_min": (_unit, "in [0, 1]"),
-    "corr_tol": (_positive, "finite and > 0"),
-    "gradcheck_tol": (_positive, "finite and > 0"),
-    "burn_in_tol": (_positive, "finite and > 0"),
+def _choice(default, choices, what, fold=False):
+    """A string key that must name one of choices; fold compares the value
+    stripped and lower-cased."""
+    names = "|".join(choices)
+    norm = (lambda v: v.strip().lower()) if fold else (lambda v: v)
+    return Key(str, default, f"{what}: {names}", lambda v: norm(v) in choices,
+               f"one of {names}")
+
+
+# section -> key -> Key.  [loss] accepts additional per-loss parameters
+# validated by the loss factory itself.
+SCHEMA = {
+    "run": {
+        "seed": Key(int, 0, "64-bit RNG seed (dimensionless)"),
+        "dimension": Key(int, 2, "parameter dimension d (count)"),
+        "horizon": Key(float, 1.0, "time horizon T (time units; iterations = floor(T/h))"),
+        "theta0": Key(_parse_theta0, "gauss", "initial point: gauss|zeros|ones or comma floats"),
+        "theta0_scale": Key(float, 1.0, "scale of the gauss initial point (dimensionless)"),
+    },
+    "optimizer": {
+        "kind": _choice(None, [k.value for k in Kind], "optimizer", fold=True),
+        "h": Key(float, None, "learning rate / step size (time units per step)"),
+        "beta1": Key(float, 0.0, "first momentum parameter in [0,1) (rho1 for lionk)"),
+        "beta2": Key(float, 0.0, "second momentum parameter in [0,1) (rho2 for lionk)"),
+        "lambda": Key(float, 0.0, "decoupled weight decay coefficient (1/time)"),
+        "eps": Key(float, 1e-8, "stability / smoothing parameter (dimensionless, > 0)"),
+        "kspec": _choice(KSpec.SMOOTHED_ONE_NORM.value, [k.value for k in KSpec],
+                         "lionk convexity choice", fold=True),
+        "bias_correction": Key(_parse_bool, None,
+                               "n-dependent average prefactors (default: kind-specific)"),
+    },
+    "experiment": {
+        "h_grid": Key(_parse_floats, (), "comma list of step sizes for sweeps (time units)",
+                      lambda v: all(map(_positive, v)), "a list of finite entries > 0"),
+        "order": _choice("second", ("first", "second", "both"), "memoryless flavor"),
+        "correction_variant": _choice(CorrectionVariant.FINITE_N.value,
+                                      [v.value for v in CorrectionVariant],
+                                      "second-order correction coefficients"),
+        "samples": Key(int, 2000, "Monte Carlo sample count (count, >= 100)",
+                       lambda v: v >= 100, ">= 100"),
+        "n_list": Key(_parse_ints, (1, 5, 50, 200), "step indices for corr-table (count)",
+                      lambda v: all(n >= 0 for n in v), "a list of entries >= 0"),
+        "n_max": Key(int, 0, "cap on defect steps per h; 0 = no cap (count)",
+                     lambda v: v >= 0, ">= 0"),
+        "dt_ratio": Key(int, 8, "ODE integrator substeps per h (count, >= 4)",
+                        lambda v: v >= 4, ">= 4"),
+        "ode_target": _choice(ODE_TARGETS[0], ODE_TARGETS, "discrete side of ode-compare"),
+        "slope_min": Key(float, 0.0, "lower slope gate; 0 = per-command default",
+                         lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+        "slope_max": Key(float, 0.0, "upper slope gate; 0 = per-command default",
+                         lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+        "r2_min": Key(float, 0.98, "minimum r^2 for an asserted slope (dimensionless)",
+                      _unit, "in [0, 1]"),
+        "fraction_min": Key(float, 0.95, "closeness ordering gate (fraction of steps)",
+                            _unit, "in [0, 1]"),
+        "corr_tol": Key(float, 1e-6, "relative gap gate for corr-table (dimensionless)",
+                        _positive, "finite and > 0"),
+        "gradcheck_tol": Key(float, 1e-5, "relative error gate for gradcheck (dimensionless)",
+                             _positive, "finite and > 0"),
+        "burn_in_tol": Key(float, 1e-10, "coefficient tail defining the burn-in cutoff",
+                           _positive, "finite and > 0"),
+    },
 }
 
 _BIAS_DEFAULT = {Kind.ADAMW: True, Kind.NADAMW: True, Kind.LION_K: False,
@@ -207,7 +224,7 @@ def resolve_config(path: str, overrides=()) -> dict:
         for key, value in kv.items():
             if key not in SCHEMA[sec]:
                 raise ConfigError(f"unknown config key: {sec}.{key}")
-            parser = SCHEMA[sec][key][0]
+            parser = SCHEMA[sec][key].parser
             try:
                 out[key] = parser(_config_text(value, parser))
             except (ValueError, ConfigError) as exc:
@@ -216,16 +233,14 @@ def resolve_config(path: str, overrides=()) -> dict:
 
     for sec, keys in SCHEMA.items():
         resolved.setdefault(sec, {})
-        for key, (_, default, _help) in keys.items():
+        for key, entry in keys.items():
             if key not in resolved[sec]:
-                if default is None and not (sec == "optimizer" and key == "bias_correction"):
+                if entry.default is None and not (sec == "optimizer" and key == "bias_correction"):
                     raise ConfigError(f"missing required config key: {sec}.{key}")
-                resolved[sec].setdefault(key, default)
-
-    for key, (ok, rule) in _EXPERIMENT_RANGES.items():
-        value = resolved["experiment"][key]
-        if not ok(value):
-            raise ConfigError(f"experiment.{key} must be {rule}, got {value!r}")
+                resolved[sec][key] = entry.default
+            value = resolved[sec][key]
+            if entry.check is not None and not entry.check(value):
+                raise ConfigError(f"{sec}.{key} must be {entry.rule}, got {value!r}")
 
     loss_sec = dict(raw.get("loss", {}))
     if "id" not in loss_sec:
@@ -238,7 +253,7 @@ def resolve_config(path: str, overrides=()) -> dict:
                         for k, v in loss_sec.items()}
 
     # kind-specific bias default
-    kind = _kind_from_string(resolved["optimizer"]["kind"])
+    kind = _enum(Kind, resolved["optimizer"]["kind"])
     if resolved["optimizer"]["bias_correction"] is None:
         norm_kind = Kind.LION_K if kind is Kind.SIGNUM else kind
         resolved["optimizer"]["bias_correction"] = _BIAS_DEFAULT[norm_kind]
@@ -258,24 +273,18 @@ def _coerce_scalar(v: str):
     return s
 
 
-def _kind_from_string(s: str) -> Kind:
-    try:
-        return Kind(str(s).strip().lower())
-    except ValueError as exc:
-        raise ConfigError(f"unknown optimizer kind: {s!r}") from exc
+def _enum(cls, s: str):
+    """The member of cls a checked kind or kspec value names."""
+    return cls(s.strip().lower())
 
 
 def build_run_config(resolved: dict) -> RunConfig:
     opt = resolved["optimizer"]
-    kind = _kind_from_string(opt["kind"])
     try:
-        kspec = KSpec(str(opt["kspec"]).strip().lower())
-    except ValueError as exc:
-        raise ConfigError(f"unknown kspec: {opt['kspec']!r}") from exc
-    try:
-        spec = OptimizerSpec(kind=kind, h=float(opt["h"]), beta1=float(opt["beta1"]),
-                             beta2=float(opt["beta2"]), lam=float(opt["lambda"]),
-                             eps=float(opt["eps"]), kspec=kspec,
+        spec = OptimizerSpec(kind=_enum(Kind, opt["kind"]), h=float(opt["h"]),
+                             beta1=float(opt["beta1"]), beta2=float(opt["beta2"]),
+                             lam=float(opt["lambda"]), eps=float(opt["eps"]),
+                             kspec=_enum(KSpec, opt["kspec"]),
                              bias_correction=bool(opt["bias_correction"]))
     except ValueError as exc:
         raise ConfigError(f"bad optimizer spec: {exc}") from exc
@@ -378,15 +387,10 @@ def cmd_run(resolved, out_dir, jobs):
 
 
 def _sweep_order_kinds(resolved):
-    order = resolved["experiment"]["order"]
-    variant = CorrectionVariant(resolved["experiment"]["correction_variant"])
-    if order == "both":
-        return [MemorylessKind.second(variant), MemorylessKind.first()]
-    if order == "second":
-        return [MemorylessKind.second(variant)]
-    if order == "first":
-        return [MemorylessKind.first()]
-    raise ConfigError(f"experiment.order must be first|second|both, got {order!r}")
+    exp = resolved["experiment"]
+    second = MemorylessKind.second(CorrectionVariant(exp["correction_variant"]))
+    return {"both": [second, MemorylessKind.first()], "second": [second],
+            "first": [MemorylessKind.first()]}[exp["order"]]
 
 
 def cmd_sweep(resolved, out_dir, jobs):
@@ -576,8 +580,8 @@ _DISPATCH = {
 def _schema_epilog() -> str:
     lines = ["config keys (section.key, with units):"]
     for sec, keys in SCHEMA.items():
-        for key, (_, default, help_text) in keys.items():
-            lines.append(f"  {sec}.{key:<20} {help_text} [default: {default}]")
+        for key, entry in keys.items():
+            lines.append(f"  {sec}.{key:<20} {entry.help} [default: {entry.default}]")
     lines.append("  loss.id                quadratic|logistic|quartic|minibatch-quadratic")
     lines.append("  loss.*                 fixture parameters, e.g. eig_min/eig_max "
                  "(quadratic), points/ridge (logistic), a (quartic), count/spread "

@@ -228,10 +228,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.iterates.shape[0]
 
-    @property
-    def final(self) -> ParamVector:
-        return self.iterates[-1]
-
     def csv_rows(self):
         d = self.iterates.shape[1]
         header = ["step", "t"] + [f"theta_{i}" for i in range(d)] + ["loss"]

@@ -7,10 +7,13 @@ Three evaluation routes are provided and cross-checked:
                    with prefix sums making it O(n) per evaluation;
   * contraction  - the same sum reassociated through the momentum slots so
                    each slot costs one Jacobian-vector product, with every
-                   inner update in one array evaluation; its large-n limit
-                   covers kinds without a large-n closed form;
-  * closed forms - per-optimizer formulas (finite-n where available,
-                   large-n limits for all kinds).
+                   inner update in one array evaluation;
+  * closed forms - O(1) formulas: the heavy-ball bracket, the adaptive form
+                   (AdamW and NAdamW) and the sign-momentum form, at finite n
+                   with bias-corrected averages and in the large-n limit, and
+                   for every other kind the large-n limit of the contraction,
+                   derived from the momentum form.  correction_closed falls
+                   back to the contraction only at finite n.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Kind, OptimizerSpec, ParamVector, as_param_vector, linf_distance
+from .core import Kind, OptimizerSpec, ParamVector, as_param_vector
 from .losses import LossModel
 from .memoryful import MomentumForm, momentum_form
 
@@ -163,19 +166,13 @@ def correction_closed_heavyball(spec: OptimizerSpec, loss: LossModel,
     return CorrectionTerm(vec, n, method, grad=g)
 
 
-def correction_closed_nesterov(spec: OptimizerSpec, loss: LossModel,
-                               theta: ParamVector) -> CorrectionTerm:
-    """Large-n limit only: beta^2 in place of the heavy-ball beta."""
-    theta = as_param_vector(theta)
-    beta = spec.beta1
-    g = loss.grad(theta)
-    vec = spec.h * beta ** 2 / (1.0 - beta) ** 3 * loss.hvp(theta, g)
-    return CorrectionTerm(vec, None, Method.CLOSED_FORM_ASYMPTOTIC, grad=g)
-
-
 def correction_closed_adamw(spec: OptimizerSpec, loss: LossModel,
                             theta: ParamVector, n: Optional[int] = None) -> CorrectionTerm:
-    """Componentwise closed form; two momentum lag coefficients, one hvp."""
+    """Componentwise closed form for the adaptive kinds; two momentum lag
+    coefficients, one hvp.  With bias-corrected averages every inner
+    contracted update equals F, so the form is exact at every n; NAdamW
+    weights the first average's lag by beta1, the share it has in the
+    numerator."""
     theta = as_param_vector(theta)
     if not spec.bias_correction:
         raise ValueError("closed form assumes bias-corrected averages")
@@ -185,27 +182,12 @@ def correction_closed_adamw(spec: OptimizerSpec, loss: LossModel,
     den = np.sqrt(den2)
     direction = loss.hvp(theta, g / den + spec.lam * theta)
     a1 = _ema_lag_coefficient(spec.beta1, n)
+    if spec.kind is Kind.NADAMW:
+        a1 = spec.beta1 * a1
     a2 = _ema_lag_coefficient(spec.beta2, n)
     vec = spec.h * (a1 - a2 + eps * a2 / den2) * direction / den
     method = Method.CLOSED_FORM_ASYMPTOTIC if n is None else Method.CLOSED_FORM_FINITE_N
     return CorrectionTerm(vec, n, method, grad=g)
-
-
-def correction_closed_nadamw(spec: OptimizerSpec, loss: LossModel,
-                             theta: ParamVector) -> CorrectionTerm:
-    """Large-n limit only: leading coefficient beta1^2/(1-beta1) - beta2/(1-beta2)."""
-    theta = as_param_vector(theta)
-    if not spec.bias_correction:
-        raise ValueError("closed form assumes bias-corrected averages")
-    eps = spec.eps
-    g = loss.grad(theta)
-    den2 = g * g + eps
-    den = np.sqrt(den2)
-    direction = loss.hvp(theta, g / den + spec.lam * theta)
-    a1 = spec.beta1 ** 2 / (1.0 - spec.beta1)
-    a2 = spec.beta2 / (1.0 - spec.beta2)
-    vec = spec.h * (a1 - a2 + eps * a2 / den2) * direction / den
-    return CorrectionTerm(vec, None, Method.CLOSED_FORM_ASYMPTOTIC, grad=g)
 
 
 def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
@@ -241,53 +223,27 @@ def correction_limit(spec: OptimizerSpec, loss: LossModel,
     form = momentum_form(spec)
     g = loss.grad(theta)
     vec = spec.h * form.limit_jvp(loss, theta, g, form.lag_scales)[1]
-    return CorrectionTerm(vec, None, Method.CONTRACTION, grad=g)
+    return CorrectionTerm(vec, None, Method.CLOSED_FORM_ASYMPTOTIC, grad=g)
 
 
 def correction_closed(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
                       n: Optional[int] = None) -> CorrectionTerm:
-    """Best available closed form; where none covers (kind, n, bias
-    correction) it falls back to the contraction evaluation or its large-n
-    limit, flagged in meta."""
+    """Best available closed form.  In the large-n limit every kind has one;
+    at finite n, where none covers (kind, bias correction), it falls back to
+    the O(n) contraction evaluation, flagged in meta."""
     kind = spec.kind
     if kind is Kind.HEAVY_BALL:
         return correction_closed_heavyball(spec, loss, theta, n)
     if kind is Kind.LION_K and (n is None or spec.bias_correction):
         return correction_closed_lionk(spec, loss, theta, n)
-    if kind is Kind.ADAMW and spec.bias_correction:
+    if kind in (Kind.ADAMW, Kind.NADAMW) and spec.bias_correction:
         return correction_closed_adamw(spec, loss, theta, n)
-    if n is None and kind is Kind.NESTEROV:
-        return correction_closed_nesterov(spec, loss, theta)
-    if n is None and kind is Kind.NADAMW and spec.bias_correction:
-        return correction_closed_nadamw(spec, loss, theta)
     if n is None:
-        term = correction_limit(spec, loss, theta)
-    else:
-        term = correction_contraction(spec, loss, theta, n)
+        return correction_limit(spec, loss, theta)
+    term = correction_contraction(spec, loss, theta, n)
     unbiased = "" if spec.bias_correction else " without bias correction"
-    term.meta["fallback"] = (f"no {'large' if n is None else 'finite'}-n closed form "
-                             f"for {kind.value}{unbiased}")
+    term.meta["fallback"] = f"no finite-n closed form for {kind.value}{unbiased}"
     return term
-
-
-def correction_signum_adam_identity_check(beta: float, loss: LossModel,
-                                          theta: ParamVector, eps: float,
-                                          lam: float = 0.0, h: float = 1e-3) -> float:
-    """Relative gap between the large-n corrections of the adaptive update with
-    equal momentum parameters and the sign-momentum update with the same pair.
-    Zero up to rounding."""
-    theta = as_param_vector(theta)
-    if beta == 0.0:
-        # both corrections vanish identically
-        return 0.0
-    adam = OptimizerSpec.adamw(h=h, beta1=beta, beta2=beta, lam=lam, eps=eps)
-    lion = OptimizerSpec.signum(h=h, beta=beta, lam=lam, eps=eps)
-    ca = correction_closed_adamw(adam, loss, theta).vector
-    cl = correction_closed_lionk(lion, loss, theta).vector
-    scale = max(float(np.max(np.abs(ca))), float(np.max(np.abs(cl))))
-    if scale == 0.0:
-        return 0.0
-    return linf_distance(ca, cl) / scale
 
 
 def modified_loss_heavyball(loss: LossModel, theta: ParamVector,
@@ -297,15 +253,3 @@ def modified_loss_heavyball(loss: LossModel, theta: ParamVector,
     theta = as_param_vector(theta)
     g = loss.grad(theta)
     return float(loss.value(theta) + h * beta / (2.0 * (1.0 - beta) ** 2) * (g @ g))
-
-
-def decaying_double_sum(rho1: float, rho2: float, n: int) -> float:
-    """sum_{k=1}^{n} rho2^(k-1) sum_{s=n-k}^{n-1} rho1 rho2^s, evaluated with
-    the inner sum in closed form; tends to 0 as n grows."""
-    if n <= 0:
-        return 0.0
-    total = 0.0
-    for k in range(1, n + 1):
-        inner = rho1 * rho2 ** (n - k) * (1.0 - rho2 ** k) / (1.0 - rho2)
-        total += rho2 ** (k - 1) * inner
-    return total

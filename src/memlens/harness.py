@@ -61,14 +61,14 @@ def fit_loglog(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, flo
 
 
 def _assemble_report(points: List[SweepPoint], metadata: dict) -> SweepReport:
-    points = sorted(points, key=lambda p: -p.h)
-    usable = [(p.h, p.metric) for p in points if p.valid and p.metric > ERROR_FLOOR]
-    if len(usable) < 3:
-        return SweepReport(points=points, slope=float("nan"), intercept=float("nan"),
-                           r2=float("nan"), status="degenerate", metadata=metadata)
-    slope, intercept, r2 = fit_loglog(usable)
-    return SweepReport(points=points, slope=slope, intercept=intercept, r2=r2,
-                       status="ok", metadata=metadata)
+    nan = float("nan")
+    report = SweepReport(points=sorted(points, key=lambda p: -p.h), slope=nan,
+                         intercept=nan, r2=nan, status="degenerate", metadata=metadata)
+    usable = [(p.h, p.metric) for p in report.fitted_points()]
+    if len(usable) >= 3:
+        report.slope, report.intercept, report.r2 = fit_loglog(usable)
+        report.status = "ok"
+    return report
 
 
 def n_burn_steps(spec: OptimizerSpec, tol: float = 1e-10) -> int:

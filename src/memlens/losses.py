@@ -27,9 +27,6 @@ class LossModel:
     domain_radius: float = DOMAIN_RADIUS_DEFAULT
     name: str = "custom"
 
-    def in_domain(self, theta: ParamVector) -> bool:
-        return bool(np.all(np.isfinite(theta))) and float(np.max(np.abs(theta))) < self.domain_radius
-
 
 def make_quadratic(A: np.ndarray, b: ParamVector,
                    domain_radius: float = DOMAIN_RADIUS_DEFAULT) -> LossModel:

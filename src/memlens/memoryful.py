@@ -1,7 +1,6 @@
-"""The true optimizers with exponentially decaying memory, in two
-interchangeable implementations: a history-based evaluator that sums over all
-past iterates, and an O(1)-state evaluator driven by exponential running sums
-("momentum variables").
+"""The true optimizers with exponentially decaying memory, evaluated in O(1)
+state per step from exponential running sums ("momentum variables"), and the
+one trajectory driver that every memoryful and memoryless run goes through.
 
 Every supported update rule is expressed through a common momentum form: a
 list of slots, each an exponential average of a feature of the iterate
@@ -13,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,7 +146,7 @@ class MomentumForm:
             return np.ones_like(x)
         return self.spec.eps / (x * x + self.spec.eps) ** 1.5
 
-    def output(self, m: List[np.ndarray], exact_sign: bool = False) -> np.ndarray:
+    def output(self, m: List[np.ndarray]) -> np.ndarray:
         k = self.spec.kind
         if k is Kind.HEAVY_BALL:
             return m[0]
@@ -159,10 +158,7 @@ class MomentumForm:
             b1 = self.spec.beta1
             num = b1 * m[0] + (1.0 - b1) * m[3]
             return num / np.sqrt(m[1] + self.spec.eps) + m[2]
-        x = m[0] + m[1]
-        if exact_sign:
-            return -np.sign(-x) + m[2]
-        return -self.kgrad(x) + m[2]
+        return -self.kgrad(m[0] + m[1]) + m[2]
 
     def output_jac_apply(self, m: List[np.ndarray], us: List[np.ndarray]) -> np.ndarray:
         """sum_l (dQ/dm_l) u_l at the momentum point m."""
@@ -214,33 +210,18 @@ class MomentumForm:
         us = [c * self._feature_jvp(s.feature, g, F, hv) for c, s in zip(scales, self.slots)]
         return F, self.output_jac_apply(m, us)
 
-    def advance(self, sums: List[np.ndarray], theta: ParamVector, g: ParamVector,
-                n: int, exact_sign: bool = False):
+    def advance(self, sums: List[np.ndarray], theta: ParamVector, g: ParamVector, n: int):
         """Step n of the raw exponential sums: returns (sums, F^(n))."""
         feats = self.feature_values(theta, g)
         sums = [s.beta * acc + f for s, acc, f in zip(self.slots, sums, feats)]
         m = [s.bias(n) * acc for s, acc in zip(self.slots, sums)]
-        return sums, self.output(m, exact_sign=exact_sign)
+        return sums, self.output(m)
 
 
 @functools.lru_cache(maxsize=64)
 def momentum_form(spec: OptimizerSpec) -> MomentumForm:
     """The form of spec, built once per distinct spec."""
     return MomentumForm(spec)
-
-
-@dataclass(eq=False)
-class HistoryBuffer:
-    """Append-only list of accepted iterates theta^(0)..theta^(n)."""
-
-    iterates: List[np.ndarray] = field(default_factory=list)
-    k_trunc: Optional[int] = None  # optional truncation horizon; bias <= (max beta)^k_trunc
-
-    def append(self, theta: ParamVector) -> None:
-        self.iterates.append(np.array(theta, dtype=np.float64, copy=True))
-
-    def __len__(self) -> int:
-        return len(self.iterates)
 
 
 @dataclass(eq=False)
@@ -259,33 +240,11 @@ class MomentumState:
         return cls(sums=[np.zeros(d) for _ in form.slots], n=0)
 
 
-def eval_F_history(spec: OptimizerSpec, loss: LossModel, hist: HistoryBuffer,
-                   exact_sign: bool = False) -> ParamVector:
-    """Update direction at step n from the full history, by explicit summation."""
-    if len(hist) == 0:
-        raise ValueError("empty history")
-    form = momentum_form(spec)
-    n = len(hist) - 1
-    start = 0 if hist.k_trunc is None else max(0, n - hist.k_trunc)
-    d = hist.iterates[-1].size
-    sums = [np.zeros(d) for _ in form.slots]
-    for k in range(start, n + 1):
-        theta_k = hist.iterates[k]
-        g_k = loss.grad(theta_k)
-        feats = form.feature_values(theta_k, g_k)
-        for l, s in enumerate(form.slots):
-            w = s.beta ** (n - k)  # 0**0 == 1 covers the memoryless slots
-            if w != 0.0:
-                sums[l] = sums[l] + w * feats[l]
-    m = [s.bias(n) * acc for s, acc in zip(form.slots, sums)]
-    return form.output(m, exact_sign=exact_sign)
-
-
 def step_state(spec: OptimizerSpec, loss: LossModel, state: MomentumState,
-               theta: ParamVector, exact_sign: bool = False):
+               theta: ParamVector):
     """One O(1)-state step: returns (theta_next, state_next); bitwise deterministic."""
     n = state.n
-    sums, F = momentum_form(spec).advance(state.sums, theta, loss.grad(theta), n, exact_sign)
+    sums, F = momentum_form(spec).advance(state.sums, theta, loss.grad(theta), n)
     return theta - spec.h * F, MomentumState(sums=sums, n=n + 1)
 
 
@@ -316,33 +275,18 @@ def drive(config: RunConfig, loss: LossModel,
                       loss_values=np.array(losses), domain_exit=exit_step, meta=meta)
 
 
-def run_memoryful(config: RunConfig, loss: Optional[LossModel] = None,
-                  engine: str = "state", exact_sign: bool = False) -> Trajectory:
-    """Run floor(T/h) steps from theta^(0), recording every iterate.
-
-    engine "state" uses the O(1) momentum-state evaluator; "history" recomputes
-    the update direction by explicit summation over all recorded iterates at
-    every step (the cross-check implementation, O(n^2) overall).
-    """
+def run_memoryful(config: RunConfig, loss: Optional[LossModel] = None) -> Trajectory:
+    """Run floor(T/h) steps of the O(1) momentum-state engine from theta^(0),
+    recording every iterate."""
     if loss is None:
         loss = loss_from_config(config.loss_id, config.loss_params,
                                 config.dimension, config.seed)
     spec = config.optimizer
+    state = MomentumState.fresh(momentum_form(spec), config.dimension)
 
-    if engine == "state":
-        state = MomentumState.fresh(momentum_form(spec), config.dimension)
+    def step(theta, n):
+        nonlocal state
+        theta, state = step_state(spec, loss, state, theta)
+        return theta
 
-        def step(theta, n):
-            nonlocal state
-            theta, state = step_state(spec, loss, state, theta, exact_sign=exact_sign)
-            return theta
-    elif engine == "history":
-        hist = HistoryBuffer()
-
-        def step(theta, n):
-            hist.append(theta)
-            return theta - spec.h * eval_F_history(spec, loss, hist, exact_sign=exact_sign)
-    else:
-        raise ValueError(f"unknown engine: {engine!r}")
-
-    return drive(config, loss, step, {"engine": engine, "kind": spec.kind.value})
+    return drive(config, loss, step, {"kind": spec.kind.value})

@@ -11,8 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Kind, OptimizerSpec, ParamVector, RunConfig,
-                   Trajectory, as_param_vector, softsign)
+from .core import OptimizerSpec, ParamVector, RunConfig, Trajectory, as_param_vector
 from .correction import correction_closed
 from .losses import LossModel, loss_from_config
 from .memoryful import MomentumState, drive, momentum_form
@@ -109,48 +108,3 @@ def one_step_defect(config: RunConfig, n_max: Optional[int] = None,
         sums, F_replay = form.advance(sums, thetas[n], loss.grad(thetas[n]), n)
         defects[n] = float(np.max(np.abs(thetas[n + 1] - thetas[n] + spec.h * F_replay)))
     return defects
-
-
-# -- hand-specialized memoryless updates (independent transcriptions) --------
-
-
-def adamw_memoryless_reference(spec: OptimizerSpec, loss: LossModel,
-                               theta: ParamVector, n: int) -> ParamVector:
-    """Second-order adaptive step written out componentwise, as an
-    independent check on the generic route (requires bias correction)."""
-    if spec.kind is not Kind.ADAMW or not spec.bias_correction:
-        raise ValueError("reference update is for bias-corrected adamw")
-    theta = as_param_vector(theta)
-    h, eps, lam = spec.h, spec.eps, spec.lam
-    b1, b2 = spec.beta1, spec.beta2
-    g = loss.grad(theta)
-    den2 = g * g + eps
-    den = np.sqrt(den2)
-    F = g / den + lam * theta
-    direction = loss.hvp(theta, softsign(g, eps) + lam * theta)
-
-    def lag(beta):
-        if beta == 0.0:
-            return 0.0
-        return beta / (1.0 - beta) - (n + 1) * beta ** (n + 1) / (1.0 - beta ** (n + 1))
-
-    M = -h * lag(b2) * (g * g) * direction / den2 ** 1.5 + h * lag(b1) * direction / den
-    return theta - h * F - h * M
-
-
-def lion_eps_memoryless_reference(spec: OptimizerSpec, loss: LossModel,
-                                  theta: ParamVector, n: int) -> ParamVector:
-    """Second-order smoothed sign-momentum step written out componentwise
-    (bias-corrected variant)."""
-    if spec.kind is not Kind.LION_K or not spec.bias_correction:
-        raise ValueError("reference update is for the bias-corrected smoothed lion")
-    theta = as_param_vector(theta)
-    h, eps, lam = spec.h, spec.eps, spec.lam
-    r1, r2 = spec.beta1, spec.beta2
-    g = loss.grad(theta)
-    den2 = g * g + eps
-    F = g / np.sqrt(den2) + lam * theta
-    coef = r1 / (1.0 - r2) - (n + 1) * r2 ** n * r1 / (1.0 - r2 ** (n + 1))
-    grad_of_penalty = loss.hvp(theta, softsign(g, eps) + lam * theta)
-    M = h * coef * eps / den2 ** 1.5 * grad_of_penalty
-    return theta - h * F - h * M

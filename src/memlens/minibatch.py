@@ -172,18 +172,3 @@ def modified_loss_minibatch(family: MiniBatchFamily, beta: float,
     noise_term = h * beta / (2.0 * (1.0 - beta) * (1.0 + beta)) \
         * gradient_noise_second_moment(family, theta)
     return base + drift_term + noise_term
-
-
-def expected_drift_largen(family: MiniBatchFamily, beta: float, theta: ParamVector,
-                          h: float) -> np.ndarray:
-    """Large-n mean memoryless update: mean gradient / (1-beta) plus the
-    averaged correction split into full-batch drift and noise parts.  Its
-    (1-beta) multiple is the gradient of modified_loss_minibatch."""
-    theta = as_param_vector(theta)
-    gbar = family.mean.grad(theta)
-    e_eq, _ = batch_pair_expectations(family, theta)
-    full_drift = family.mean.jvp(theta, gbar)
-    noise_part = e_eq - full_drift
-    c = h * (beta / (1.0 - beta) ** 3 * full_drift
-             + beta / ((1.0 - beta) ** 2 * (1.0 + beta)) * noise_part)
-    return gbar / (1.0 - beta) + c

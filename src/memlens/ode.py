@@ -18,13 +18,14 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import OptimizerSpec, ParamVector, RunConfig, as_param_vector, floor_steps
-from .correction import correction_closed
 from .harness import SweepPoint, SweepReport, _assemble_report, n_burn_steps
 from .losses import LossModel, loss_from_config
 from .memoryful import momentum_form, run_memoryful
 from .memoryless import CorrectionVariant, MemorylessKind, run_memoryless
 
 DT_RATIO_DEFAULT = 8  # dt = h / DT_RATIO_DEFAULT
+# discrete sides of compare_discrete_vs_ode; the first is the default
+ODE_TARGETS = ("memoryless-asymptotic", "memoryless-finite-n", "memoryful")
 
 
 @dataclass(eq=False)
@@ -49,38 +50,20 @@ class ModifiedODE:
         return g1 + self.h * g2
 
 
-def build_modified_ode(spec: OptimizerSpec, loss: LossModel,
-                       jacobian: str = "analytic", fd_step: float = 1e-6) -> ModifiedODE:
+def build_modified_ode(spec: OptimizerSpec, loss: LossModel) -> ModifiedODE:
     """G1 = -F and G2 = -(c/h + grad(G1) G1 / 2), with F the large-n
-    contracted update and c the large-n memory correction.
-
-    jacobian="analytic" takes the field from the momentum form in one pass:
-    one grad and one hvp give F and, since limit_jvp is linear in its slot
-    weights, G2 = -limit_jvp with weights lag_scales + limit_scales / 2.
-    jacobian="fd" is the independent cross-check: c from correction_closed
-    and grad(G1) G1 by central differences of F.
-    """
+    contracted update and c the large-n memory correction, taken from the
+    momentum form in one pass: one grad and one hvp give F and, since
+    limit_jvp is linear in its slot weights, G2 = -limit_jvp with weights
+    lag_scales + limit_scales / 2."""
     form = momentum_form(spec)
-    if jacobian == "analytic":
-        scales = tuple(a + 0.5 * b for a, b in zip(form.lag_scales, form.limit_scales))
+    scales = tuple(a + 0.5 * b for a, b in zip(form.lag_scales, form.limit_scales))
 
-        def field(theta):
-            F, jvp = form.limit_jvp(loss, theta, loss.grad(theta), scales)
-            return -F, -jvp
-    elif jacobian == "fd":
-        def F_limit(theta):
-            return form.contracted_F(loss, theta, None)
+    def field(theta):
+        F, jvp = form.limit_jvp(loss, theta, loss.grad(theta), scales)
+        return -F, -jvp
 
-        def field(theta):
-            F = F_limit(theta)
-            # grad(G1) G1 = grad(F) F since G1 = -F
-            jac = (F_limit(theta + fd_step * F) - F_limit(theta - fd_step * F)) / (2.0 * fd_step)
-            c = correction_closed(spec, loss, theta, None).vector
-            return -F, -(c / spec.h + 0.5 * jac)
-    else:
-        raise ValueError(f"unknown jacobian mode: {jacobian!r}")
-    return ModifiedODE(field=field, h=spec.h,
-                       meta={"kind": spec.kind.value, "jacobian": jacobian})
+    return ModifiedODE(field=field, h=spec.h, meta={"kind": spec.kind.value})
 
 
 def integrate_rk4(odesys: ModifiedODE, theta0: ParamVector, T: float,
@@ -119,7 +102,7 @@ def integrate_rk4(odesys: ModifiedODE, theta0: ParamVector, T: float,
 
 def compare_discrete_vs_ode(config: RunConfig, h_grid: Sequence[float],
                             include_g2: bool = True, dt_ratio: int = DT_RATIO_DEFAULT,
-                            target: str = "memoryless-asymptotic") -> SweepReport:
+                            target: str = ODE_TARGETS[0]) -> SweepReport:
     """max_n || theta_discrete^(n) - theta(n h) ||_inf per h with a fitted slope.
 
     The default discrete target is the autonomous memoryless iteration with

@@ -32,8 +32,7 @@ import numpy as np
 
 from memlens import (OptimizerSpec, RunConfig, build_modified_ode,
                      compare_discrete_vs_ode, correction_bruteforce,
-                     correction_closed, correction_signum_adam_identity_check,
-                     defect_sweep, fd_check_grad, fd_check_hvp,
+                     correction_closed, defect_sweep, fd_check_grad, fd_check_hvp,
                      global_error_sweep, loss_from_config,
                      make_minibatch_quadratics, make_quadratic,
                      make_scalar_quartic, n_burn_steps, ordering_fraction,
@@ -46,6 +45,7 @@ from memlens.minibatch import (expected_correction_decomposed,
                                expected_correction_mc, perm_coefficients)
 
 from conftest import random_spd, rel_linf
+from oracles import correction_signum_adam_identity_check
 
 
 def report(criterion, ok, detail):
@@ -115,8 +115,8 @@ def test_criterion_3_closed_vs_bruteforce():
     elapsed = time.perf_counter() - t0
     report("3 closed vs brute", worst <= 1e-6, f"max relative gap {worst:.2e}")
 
-    # the large-n forms are the binding closed-form check for the two kinds
-    # whose finite-n evaluation is the brute-force family itself
+    # the large-n forms of Nesterov (whose finite-n evaluation is the
+    # contraction, a brute-force reassociation) and NAdamW
     worst_asym = 0.0
     for spec in (specs[1], specs[3]):
         for _ in range(5):

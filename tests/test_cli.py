@@ -82,6 +82,10 @@ def test_unknown_override_key_named(sweep_cfg, tmp_path, capsys):
     ("experiment.corr_tol=0", "experiment.corr_tol"),
     ("experiment.burn_in_tol=inf", "experiment.burn_in_tol"),
     ("experiment.samples=99", "experiment.samples"),
+    ("experiment.correction_variant=bogus", "experiment.correction_variant"),
+    ("experiment.ode_target=bogus", "experiment.ode_target"),
+    ("experiment.order=bogus", "experiment.order"),
+    ("optimizer.kspec=bogus", "optimizer.kspec"),
 ])
 def test_bad_value_exits_2_naming_key(override, key, sweep_cfg, tmp_path, capsys):
     rc = run_cli("sweep", "--config", sweep_cfg, "--out-dir", tmp_path / "o",
@@ -372,10 +376,20 @@ OVERRIDE_VALUES = {
     "optimizer.kind": "nesterov", "optimizer.h": "1e-2", "optimizer.beta1": "0.5",
     "optimizer.beta2": "0.9", "optimizer.lambda": "0.1", "optimizer.eps": "1e-4",
     "optimizer.bias_correction": "true",
+    "optimizer.kspec": "half-squared-two-norm",
     "experiment.n_list": "1,5", "experiment.corr_tol": "1e-6",
+    "experiment.order": "first", "experiment.correction_variant": "asymptotic",
+    "experiment.ode_target": "memoryful", "experiment.samples": "100",
+    "experiment.dt_ratio": "4",
 }
-BAD_VALUES = ["nan", "inf", "-1", "0", ""]
-STOCK_CONFIGS = {"run": STOCK_HB_CFG, "corr-table": STOCK_HB_CFG.parent / "adamw_corr_table.cfg"}
+BAD_VALUES = ["nan", "inf", "-1", "0", "", "bogus"]
+STOCK_CONFIGS = {command: STOCK_HB_CFG.parent / f"{name}.cfg" for command, name in (
+    ("run", "heavyball_sweep"), ("sweep", "heavyball_sweep"), ("defect", "heavyball_sweep"),
+    ("ode-compare", "heavyball_sweep"), ("closeness", "adam_closeness"),
+    ("minibatch-corr", "minibatch_perm"), ("corr-table", "adamw_corr_table"),
+    ("gradcheck", "logistic_gradcheck"))}
+# closeness needs a step past its 449-step burn-in at h = 3e-4
+SMALL_HORIZON = {"closeness": "0.15"}
 
 
 @st.composite
@@ -389,7 +403,7 @@ def overrides(draw):
 def test_overrides_keep_the_exit_code_contract(command, sets):
     # rc 0 all gates passed, 1 a gate failed, 2 a config error; never a traceback
     argv = [command, "--config", STOCK_CONFIGS[command], "--jobs", 1,
-            "--set", "run.horizon=0.05"]
+            "--set", f"run.horizon={SMALL_HORIZON.get(command, '0.05')}"]
     for item in sets:
         argv += ["--set", item]
     err = io.StringIO()

@@ -3,14 +3,13 @@ import pytest
 
 from memlens import (OptimizerSpec, correction_bruteforce, correction_closed,
                      correction_closed_adamw, correction_closed_heavyball,
-                     correction_closed_lionk, correction_closed_nadamw,
-                     correction_closed_nesterov, correction_contraction,
-                     correction_signum_adam_identity_check, make_quadratic,
+                     correction_closed_lionk, correction_contraction, make_quadratic,
                      modified_loss_heavyball)
 from memlens.core import KSpec
-from memlens.correction import (Method, decaying_double_sum, heavyball_bracket)
+from memlens.correction import Method, heavyball_bracket
 
 from conftest import all_kind_specs, limit_specs, random_spd, rel_linf
+from oracles import correction_signum_adam_identity_check, decaying_double_sum
 
 
 def test_zero_at_n0(quad4, rng):
@@ -115,7 +114,10 @@ def test_closed_matches_bruteforce(spec, n, quad4, quartic, rng):
 def test_large_n_closed_matches_bruteforce(spec, quad4, rng):
     theta = rng.standard_normal(4)
     brute = correction_bruteforce(spec, quad4, theta, 800).vector
-    assert rel_linf(correction_closed(spec, quad4, theta, None).vector, brute) <= 1e-10
+    term = correction_closed(spec, quad4, theta, None)
+    assert rel_linf(term.vector, brute) <= 1e-10
+    # every kind has a large-n closed form, so none is a fallback
+    assert term.method is Method.CLOSED_FORM_ASYMPTOTIC and "fallback" not in term.meta
 
 
 @pytest.mark.parametrize("spec", limit_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")
@@ -131,11 +133,11 @@ def test_nesterov_closed_form(quad4, rng):
     theta = rng.standard_normal(4)
     beta = 0.9
     hb = correction_closed_heavyball(OptimizerSpec.heavy_ball(1e-3, beta), quad4, theta)
-    ne = correction_closed_nesterov(OptimizerSpec.nesterov(1e-3, beta), quad4, theta)
+    ne = correction_closed(OptimizerSpec.nesterov(1e-3, beta), quad4, theta, None)
     # coefficient ratio is exactly beta
     assert rel_linf(ne.vector, beta * hb.vector) <= 1e-14
-    assert np.all(correction_closed_nesterov(
-        OptimizerSpec.nesterov(1e-3, 0.0), quad4, theta).vector == 0.0)
+    assert np.all(correction_closed(
+        OptimizerSpec.nesterov(1e-3, 0.0), quad4, theta, None).vector == 0.0)
     brute = correction_bruteforce(OptimizerSpec.nesterov(1e-3, beta), quad4, theta, 200)
     assert rel_linf(ne.vector, brute.vector) <= 1e-6
 
@@ -143,9 +145,20 @@ def test_nesterov_closed_form(quad4, rng):
 def test_nadamw_asymptotic_vs_bruteforce(quad4, rng):
     spec = OptimizerSpec.nadamw(1e-3, 0.85, 0.9, lam=0.1, eps=1e-4)
     theta = rng.standard_normal(4)
-    asym = correction_closed_nadamw(spec, quad4, theta).vector
+    asym = correction_closed(spec, quad4, theta, None).vector
     brute = correction_bruteforce(spec, quad4, theta, 200).vector
     assert rel_linf(asym, brute) <= 1e-4
+
+
+def test_nadamw_finite_n_closed_form(quad4, rng):
+    # with bias correction every inner contracted update equals F, so the
+    # adaptive closed form is exact at every n
+    spec = OptimizerSpec.nadamw(1e-3, 0.85, 0.9, lam=0.1, eps=1e-4)
+    theta = rng.standard_normal(4)
+    for n in (1, 7, 60, 600):
+        term = correction_closed(spec, quad4, theta, n)
+        assert term.method is Method.CLOSED_FORM_FINITE_N
+        assert rel_linf(term.vector, correction_bruteforce(spec, quad4, theta, n).vector) <= 1e-12
 
 
 def test_adamw_coefficient_cancellation(quad4, rng):
@@ -257,7 +270,8 @@ def test_fallbacks_flagged(quad4, rng):
     na = correction_closed(OptimizerSpec.nadamw(1e-3, 0.8, 0.9, eps=1e-4), quad4, theta, 5)
     lion = OptimizerSpec.lion_k(1e-3, 0.9, 0.95, lam=0.1, eps=1e-4)
     li = correction_closed(lion, quad4, theta, 5)
-    assert "fallback" in ne.meta and "fallback" in na.meta and "fallback" in li.meta
+    assert "fallback" in ne.meta and "fallback" in li.meta
+    assert na.method is Method.CLOSED_FORM_FINITE_N and "fallback" not in na.meta
     with pytest.raises(ValueError, match="bias"):
         correction_closed_lionk(lion, quad4, theta, 5)
     assert correction_closed(OptimizerSpec.nesterov(1e-3, 0.8), quad4, theta).method \

@@ -99,12 +99,6 @@ def test_hvp_of_grad_matches_half_grad_norm_sq(quad4, logistic6, rng):
             assert abs(fd - lhs[i]) <= 1e-5 * max(1.0, abs(lhs[i]))
 
 
-def test_domain_membership(quad4):
-    assert quad4.in_domain(np.zeros(4))
-    assert not quad4.in_domain(np.full(4, 2e3))
-    assert not quad4.in_domain(np.array([np.nan, 0, 0, 0]))
-
-
 def test_minibatch_family_mean_and_spread(rng):
     fam = make_minibatch_quadratics(6, 3, 0.4, seed=9)
     for _ in range(10):

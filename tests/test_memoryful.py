@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from memlens import (KSpec, LossModel, OptimizerSpec, RunConfig,
-                     eval_F_history, make_quadratic, run_memoryful, step_state)
+                     make_quadratic, run_memoryful, step_state)
 from memlens.losses import loss_from_config
-from memlens.memoryful import HistoryBuffer, MomentumState, drive, momentum_form
+from memlens.memoryful import MomentumState, drive, momentum_form
 
 from conftest import all_kind_specs
+from oracles import HistoryBuffer, eval_F_history, run_history
 
 
 def hist_of(*thetas):
@@ -95,8 +96,8 @@ def test_history_state_equivalence(spec):
     cfg = RunConfig(seed=5, dimension=5, horizon=0.12, loss_id="logistic",
                     loss_params={"points": 50}, optimizer=spec, theta0="gauss")
     assert cfg.n_steps() >= 100
-    a = run_memoryful(cfg, engine="state")
-    b = run_memoryful(cfg, engine="history")
+    a = run_memoryful(cfg)
+    b = run_history(cfg)
     assert a.domain_exit is None and b.domain_exit is None
     assert np.max(np.abs(a.iterates - b.iterates)) <= 1e-10
 
@@ -222,15 +223,6 @@ def test_non_finite_step_exits_unrecorded(bad_value):
     assert traj.domain_exit == 3
     assert traj.iterates.tolist() == [[0.01], [0.02], [0.04]]
     assert len(traj.loss_values) == 3
-
-
-def test_exact_sign_variant_runs():
-    spec = OptimizerSpec.signum(1e-3, 0.9)
-    cfg = RunConfig(seed=3, dimension=3, horizon=0.05, loss_id="quadratic",
-                    loss_params={}, optimizer=spec)
-    traj = run_memoryful(cfg, exact_sign=True)
-    assert traj.domain_exit is None
-    assert np.all(np.isfinite(traj.iterates))
 
 
 def test_eval_F_history_rejects_empty(quad4):

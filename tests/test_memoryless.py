@@ -5,11 +5,10 @@ from memlens import (OptimizerSpec, RunConfig, linf_distance, one_step_defect,
                      run_memoryful, run_memoryless, step_memoryless)
 from memlens.correction import correction_closed, correction_closed_lionk
 from memlens.memoryful import momentum_form
-from memlens.memoryless import (CorrectionVariant, MemorylessKind, Order,
-                                adamw_memoryless_reference,
-                                lion_eps_memoryless_reference)
+from memlens.memoryless import CorrectionVariant, MemorylessKind, Order
 
 from conftest import counting_loss, limit_specs
+from oracles import adamw_memoryless_reference, lion_eps_memoryless_reference
 
 def quad_config(spec, d=4, T=0.3, seed=5):
     return RunConfig(seed=seed, dimension=d, horizon=T, loss_id="quadratic",
@@ -77,8 +76,8 @@ def test_second_order_beats_first_order():
     full = run_memoryful(cfg)
     second = run_memoryless(cfg, MemorylessKind.second())
     first = run_memoryless(cfg, MemorylessKind.first())
-    gap2 = linf_distance(full.final, second.final)
-    gap1 = linf_distance(full.final, first.final)
+    gap2 = linf_distance(full.iterates[-1], second.iterates[-1])
+    gap1 = linf_distance(full.iterates[-1], first.iterates[-1])
     assert gap2 < gap1
 
 

@@ -6,8 +6,9 @@ from memlens import (OptimizerSpec, correction_bruteforce,
                      make_minibatch_quadratics, modified_loss_minibatch,
                      perm_coefficients)
 from memlens.minibatch import (batch_pair_expectations,
-                               expected_correction_decomposed,
-                               expected_drift_largen, _correction_for_order)
+                               expected_correction_decomposed, _correction_for_order)
+
+from oracles import expected_drift_largen
 
 
 @pytest.fixture
