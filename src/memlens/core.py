@@ -7,10 +7,11 @@ values.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -99,7 +100,9 @@ class OptimizerSpec:
     smoothing/stability parameter (shared by the adaptive denominator and the
     smoothed one-norm).  bias_correction selects the n-dependent prefactors on
     the exponential averages versus their large-n limits.  Fields irrelevant
-    to a kind are never read by the engines.
+    to a kind are never read by the engines.  h is a float, or a (B, 1)
+    column of step sizes for a stack of B runs stepped in lockstep; such a
+    spec is not hashable.
     """
 
     kind: Kind
@@ -117,7 +120,8 @@ class OptimizerSpec:
             object.__setattr__(self, "kind", Kind.LION_K)
             object.__setattr__(self, "beta2", self.beta1)
             object.__setattr__(self, "kspec", KSpec.SMOOTHED_ONE_NORM)
-        if not (self.h > 0.0) or not math.isfinite(self.h):
+        h = np.asarray(self.h)
+        if h.size == 0 or not np.all((h > 0.0) & (h < math.inf)):
             raise ValueError("h must be a finite positive float")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
@@ -216,14 +220,20 @@ class Trajectory:
     iterates has shape (n_recorded, d); row n is the accepted iterate at step
     n and t = n * h.  domain_exit records the step at which a run aborted, or
     None for a clean run; length is floor(T/h) + 1 unless an exit occurred.
+    value is the loss's row-wise value oracle: loss_values is computed the
+    first time it is read, in one call over every recorded iterate.
     """
 
     iterates: np.ndarray
     h: float
     T: float
-    loss_values: np.ndarray
+    value: Callable[[np.ndarray], np.ndarray]
     domain_exit: Optional[int] = None
     meta: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def loss_values(self) -> np.ndarray:
+        return np.asarray(self.value(self.iterates), dtype=np.float64)
 
     def __len__(self) -> int:
         return self.iterates.shape[0]

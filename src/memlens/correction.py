@@ -49,15 +49,18 @@ class CorrectionTerm:
 
 def _prefix_contracted(form: MomentumForm, theta: ParamVector, g: ParamVector,
                        n: int) -> np.ndarray:
-    """P[j] = sum over steps s < j of the contracted update F^(s)(theta).
+    """P[j] = sum over steps s < j of the contracted update F^(s)(theta), with
+    shape (n + 1,) + theta.shape: (n + 1, d) for one point, (n + 1, B, d)
+    for a stack.
 
     Every F^(s), s < n, comes from one array evaluation: slot l's contracted
     momentum at step s is a coefficient c_l(s) times the slot's feature, and
-    every output map is elementwise, so it applies row by row to (n, d) momenta."""
+    every output map is elementwise, so it applies to (n,) + theta.shape momenta."""
     s = np.arange(n)
-    m = [np.broadcast_to(slot.bias(s) * slot.geometric_sum(s), (n,))[:, None] * f
+    lead = (n,) + (1,) * np.ndim(theta)
+    m = [np.broadcast_to(slot.bias(s) * slot.geometric_sum(s), (n,)).reshape(lead) * f
          for slot, f in zip(form.slots, form.feature_values(theta, g))]
-    P = np.zeros((n + 1, theta.size))
+    P = np.zeros((n + 1,) + np.shape(theta))
     np.cumsum(form.output(m), axis=0, out=P[1:])
     return P
 
@@ -95,26 +98,26 @@ def correction_bruteforce(spec: OptimizerSpec, loss: LossModel,
 def correction_contraction(spec: OptimizerSpec, loss: LossModel,
                            theta: ParamVector, n: int) -> CorrectionTerm:
     """Same sum as correction_bruteforce, reassociated so each momentum slot
-    needs a single Jacobian-vector product (fast enough for per-step use)."""
-    theta = as_param_vector(theta)
+    needs a single Jacobian-vector product (fast enough for per-step use).
+    Row-wise over a (B, d) stack whose spec.h is a (B, 1) column."""
     if n < 0:
         raise ValueError("n must be >= 0")
     g = loss.grad(theta)
+    zeros = np.zeros(np.shape(theta))
     if n == 0:
-        return CorrectionTerm(np.zeros(theta.size), 0, Method.CONTRACTION, grad=g)
+        return CorrectionTerm(zeros, 0, Method.CONTRACTION, grad=g)
     form = momentum_form(spec)
     P = _prefix_contracted(form, theta, g, n)
     # V[k-1] = P[n] - P[n-k] = sum of contracted F^(s) over the k steps before n
-    V = P[n][None, :] - P[:n][::-1]
+    V = P[n][None] - P[:n][::-1]
     m_top = form.contracted_momenta(theta, g, n)
-    zeros = np.zeros(theta.size)
     us = []
     for l, slot in enumerate(form.slots):
         if slot.beta == 0.0:
             us.append(zeros)
             continue
         weights = slot.beta ** np.arange(1, n + 1, dtype=np.float64)
-        w_vec = weights @ V
+        w_vec = (weights @ V.reshape(n, -1)).reshape(np.shape(theta))
         us.append(slot.bias(n) * form.feature_jvp(loss, theta, g, l, w_vec))
     c = form.output_jac_apply(m_top, us)
     return CorrectionTerm(spec.h * c, n, Method.CONTRACTION, grad=g)
@@ -154,11 +157,11 @@ def heavyball_bracket(beta: float, n: Optional[int]) -> float:
 def correction_closed_heavyball(spec: OptimizerSpec, loss: LossModel,
                                 theta: ParamVector, n: Optional[int] = None) -> CorrectionTerm:
     """h * beta * bracket(n) / (1-beta)^3 * hvp(theta, grad): one hvp."""
-    theta = as_param_vector(theta)
     g = loss.grad(theta)
     if n == 0:
         # empty sum; the bracket is zero only up to rounding
-        return CorrectionTerm(np.zeros(theta.size), 0, Method.CLOSED_FORM_FINITE_N, grad=g)
+        return CorrectionTerm(np.zeros(np.shape(theta)), 0, Method.CLOSED_FORM_FINITE_N,
+                              grad=g)
     beta = spec.beta1
     coef = spec.h * beta * heavyball_bracket(beta, n) / (1.0 - beta) ** 3
     vec = coef * loss.hvp(theta, g)
@@ -173,7 +176,6 @@ def correction_closed_adamw(spec: OptimizerSpec, loss: LossModel,
     contracted update equals F, so the form is exact at every n; NAdamW
     weights the first average's lag by beta1, the share it has in the
     numerator."""
-    theta = as_param_vector(theta)
     if not spec.bias_correction:
         raise ValueError("closed form assumes bias-corrected averages")
     eps = spec.eps
@@ -197,7 +199,6 @@ def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
     -h * coef * K''(-grad) * hvp(theta, K'(-grad) - lam*theta).  Without bias
     correction there is no finite-n closed form; correction_closed falls back
     to the contraction route."""
-    theta = as_param_vector(theta)
     if n is not None and not spec.bias_correction:
         raise ValueError("finite-n closed form assumes bias-corrected averages")
     rho1, rho2 = spec.beta1, spec.beta2
@@ -219,7 +220,6 @@ def correction_limit(spec: OptimizerSpec, loss: LossModel,
     """Large-n limit of the slot contraction, derived from the momentum form:
     every inner update tends to the large-n contracted update F, so the lag-k
     window sums to k F and sum_k k beta^k = beta/(1-beta)^2.  One hvp."""
-    theta = as_param_vector(theta)
     form = momentum_form(spec)
     g = loss.grad(theta)
     vec = spec.h * form.limit_jvp(loss, theta, g, form.lag_scales)[1]
@@ -230,7 +230,9 @@ def correction_closed(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
                       n: Optional[int] = None) -> CorrectionTerm:
     """Best available closed form.  In the large-n limit every kind has one;
     at finite n, where none covers (kind, bias correction), it falls back to
-    the O(n) contraction evaluation, flagged in meta."""
+    the O(n) contraction evaluation, flagged in meta.  Every route works
+    row-wise over a (B, d) stack of points whose spec.h is a (B, 1) column,
+    and none re-validates theta: its callers hold checked iterates."""
     kind = spec.kind
     if kind is Kind.HEAVY_BALL:
         return correction_closed_heavyball(spec, loss, theta, n)

@@ -5,13 +5,12 @@ slope fitting with a rounding-noise floor.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import OptimizerSpec, RunConfig
+from .core import OptimizerSpec, RunConfig, Trajectory
 from .losses import loss_from_config
 from .memoryful import momentum_form, run_memoryful
 from .memoryless import MemorylessKind, one_step_defect, run_memoryless
@@ -79,70 +78,79 @@ def n_burn_steps(spec: OptimizerSpec, tol: float = 1e-10) -> int:
     return int(math.ceil(math.log(tol) / math.log(max(betas))))
 
 
-def _global_error_point(config: RunConfig, h: float, kind: MemorylessKind) -> SweepPoint:
-    cfg = config.with_optimizer(config.optimizer.with_h(h))
-    loss = loss_from_config(cfg.loss_id, cfg.loss_params, cfg.dimension, cfg.seed)
-    full = run_memoryful(cfg, loss=loss)
-    approx = run_memoryless(cfg, kind, loss=loss)
-    if full.domain_exit is not None or approx.domain_exit is not None:
-        return SweepPoint(h=h, metric=float("nan"), valid=False, note="domain-exit")
-    m = min(len(full), len(approx))
-    gap = np.max(np.abs(full.iterates[:m] - approx.iterates[:m]))
-    return SweepPoint(h=h, metric=float(gap))
+def _gap_points(h_grid: Sequence[float], full: List[Trajectory],
+                approx: List[Trajectory]) -> List[SweepPoint]:
+    points = []
+    for h, a, b in zip(h_grid, full, approx):
+        if a.domain_exit is not None or b.domain_exit is not None:
+            points.append(SweepPoint(h=h, metric=float("nan"), valid=False, note="domain-exit"))
+            continue
+        m = min(len(a), len(b))
+        points.append(SweepPoint(h=h, metric=float(np.max(np.abs(a.iterates[:m]
+                                                                 - b.iterates[:m])))))
+    return points
 
 
-def global_error_sweep(config: RunConfig, h_grid: Sequence[float],
-                       kind: MemorylessKind, jobs: int = 1) -> SweepReport:
+def global_error_sweep(config: RunConfig, h_grid: Sequence[float], kind: MemorylessKind,
+                       memoryful: Optional[List[Trajectory]] = None) -> SweepReport:
     """max_n || theta^(n) - theta~(n) ||_inf per h, from identical theta^(0),
-    with the fitted log-log slope."""
+    with the fitted log-log slope.  Each side runs every h as one lockstep
+    stack; memoryful, when given, holds the memoryful runs over h_grid
+    (run_memoryful with hs=h_grid), so that several memoryless kinds can be
+    compared with one memoryful stack."""
     h_grid = [float(h) for h in h_grid]
     if len(h_grid) < 5:
         raise ValueError("h_grid needs at least 5 points")
     if max(h_grid) / min(h_grid) < 30.0:
         raise ValueError("h_grid should span at least a factor of 30")
-    points = _map_points(_global_error_point, [(config, h, kind) for h in h_grid], jobs)
+    loss = loss_from_config(config.loss_id, config.loss_params, config.dimension, config.seed)
+    if memoryful is None:
+        memoryful = run_memoryful(config, loss=loss, hs=h_grid)
+    approx = run_memoryless(config, kind, loss=loss, hs=h_grid)
     meta = {"experiment": "global-error", "order": kind.order.value,
             "variant": kind.variant.value, "kind": config.optimizer.kind.value}
-    return _assemble_report(points, meta)
+    return _assemble_report(_gap_points(h_grid, memoryful, approx), meta)
 
 
-def _defect_point(config: RunConfig, h: float, n_max: Optional[int]):
-    cfg = config.with_optimizer(config.optimizer.with_h(h))
-    loss = loss_from_config(cfg.loss_id, cfg.loss_params, cfg.dimension, cfg.seed)
-    traj = run_memoryless(cfg, MemorylessKind.second(), loss=loss)
-    if traj.domain_exit is not None:
-        return SweepPoint(h=h, metric=float("nan"), valid=False, note="domain-exit"), np.array([])
-    defects = one_step_defect(cfg, n_max=n_max, loss=loss, trajectory=traj)
-    return SweepPoint(h=h, metric=float(np.max(defects))), defects
-
-
-def defect_sweep(config: RunConfig, h_grid: Sequence[float],
-                 n_max: Optional[int] = None, jobs: int = 1):
-    """Sup over n of the one-step defect per h; returns (report, {h: defects})."""
+def defect_sweep(config: RunConfig, h_grid: Sequence[float], n_max: Optional[int] = None):
+    """Sup over n of the one-step defect per h; returns (report, {h: defects}).
+    The second-order runs of every h, and their replay, each run as one stack."""
     h_grid = [float(h) for h in h_grid]
-    results = _map_points(_defect_point, [(config, h, n_max) for h in h_grid], jobs)
-    points = [r[0] for r in results]
-    details = {p.h: r[1] for p, r in zip(points, results)}
+    loss = loss_from_config(config.loss_id, config.loss_params, config.dimension, config.seed)
+    runs = run_memoryless(config, MemorylessKind.second(), loss=loss, hs=h_grid)
+    clean = [t for t in runs if t.domain_exit is None]
+    defects = iter(one_step_defect(config, n_max=n_max, loss=loss, trajectory=clean)
+                   if clean else [])
+    points, details = [], {}
+    for h, traj in zip(h_grid, runs):
+        if traj.domain_exit is not None:
+            points.append(SweepPoint(h=h, metric=float("nan"), valid=False,
+                                     note="domain-exit"))
+            details[h] = np.array([])
+            continue
+        details[h] = next(defects)
+        points.append(SweepPoint(h=h, metric=float(np.max(details[h]))))
     meta = {"experiment": "defect", "kind": config.optimizer.kind.value}
     return _assemble_report(points, meta), details
 
 
 def trajectory_closeness(config: RunConfig, h_list: Sequence[float]) -> dict:
     """Per-step inf-norm gaps of the second- and first-order memoryless runs
-    against the memoryful trajectory, for each h."""
+    against the memoryful trajectory, for each h; each of the three runs
+    every h as one lockstep stack."""
+    h_list = [float(h) for h in h_list]
+    loss = loss_from_config(config.loss_id, config.loss_params, config.dimension, config.seed)
+    runs = zip(run_memoryful(config, loss=loss, hs=h_list),
+               run_memoryless(config, MemorylessKind.second(), loss=loss, hs=h_list),
+               run_memoryless(config, MemorylessKind.first(), loss=loss, hs=h_list))
     out = {}
-    for h in h_list:
-        cfg = config.with_optimizer(config.optimizer.with_h(float(h)))
-        loss = loss_from_config(cfg.loss_id, cfg.loss_params, cfg.dimension, cfg.seed)
-        full = run_memoryful(cfg, loss=loss)
-        second = run_memoryless(cfg, MemorylessKind.second(), loss=loss)
-        first = run_memoryless(cfg, MemorylessKind.first(), loss=loss)
+    for h, (full, second, first) in zip(h_list, runs):
         m = min(len(full), len(second), len(first))
         gap2 = np.max(np.abs(full.iterates[:m] - second.iterates[:m]), axis=1)
         gap1 = np.max(np.abs(full.iterates[:m] - first.iterates[:m]), axis=1)
-        out[float(h)] = {
+        out[h] = {
             "n": np.arange(m),
-            "t": np.arange(m) * float(h),
+            "t": np.arange(m) * h,
             "gap_second": gap2,
             "gap_first": gap1,
             "domain_exit": [t.domain_exit for t in (full, second, first)],
@@ -160,15 +168,3 @@ def ordering_fraction(closeness_for_h: dict, n_burn: int) -> float:
         raise ValueError("burn-in longer than the trajectory")
     sel = slice(n_burn, None)
     return float(np.mean(gap2[sel] <= gap1[sel]))
-
-
-def _call_point(args):
-    fn, rest = args
-    return fn(*rest)
-
-
-def _map_points(fn, argtuples, jobs: int):
-    if jobs <= 1 or len(argtuples) <= 1:
-        return [fn(*args) for args in argtuples]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(argtuples))) as pool:
-        return list(pool.map(_call_point, [(fn, args) for args in argtuples]))

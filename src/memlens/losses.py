@@ -1,6 +1,9 @@
 """Loss fixtures with exact differential oracles (value, gradient,
 Hessian-vector product) on a bounded domain, finite-difference checkers,
 and the mini-batch quadratic family used for permutation-averaging studies.
+
+Every oracle works row-wise: given one point (d,) it returns one value or
+vector, given a (B, d) stack of points (and directions) it returns B of them.
 """
 from __future__ import annotations
 
@@ -19,7 +22,8 @@ DOMAIN_RADIUS_DEFAULT = 1e3
 
 @dataclass(frozen=True)
 class LossModel:
-    """Differential oracle for a loss on { theta : ||theta||_inf < domain_radius }."""
+    """Differential oracle for a loss on { theta : ||theta||_inf < domain_radius },
+    row-wise over a (B, d) stack of points."""
 
     value: Callable[[ParamVector], float]
     grad: Callable[[ParamVector], ParamVector]
@@ -41,15 +45,17 @@ def make_quadratic(A: np.ndarray, b: ParamVector,
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise ValueError("A must be positive-definite") from exc
+    # exactly symmetric, so the row-wise products theta @ A are A theta
+    A = 0.5 * (A + A.T)
 
     def value(theta):
         theta = np.asarray(theta)
-        return float(0.5 * theta @ (A @ theta) - b @ theta)
+        return 0.5 * np.sum(theta * (theta @ A), axis=-1) - theta @ b
 
     return LossModel(
         value=value,
-        grad=lambda theta: A @ np.asarray(theta) - b,
-        hvp=lambda theta, v: A @ np.asarray(v),
+        grad=lambda theta: np.asarray(theta) @ A - b,
+        hvp=lambda theta, v: np.asarray(v) @ A,
         domain_radius=domain_radius,
         name="quadratic",
     )
@@ -67,25 +73,27 @@ def make_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
     if not 0.0 <= ridge < math.inf:
         raise ValueError("ridge must be finite and >= 0")
     m = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
 
     def margins(theta):
-        return y * (X @ np.asarray(theta))
+        return y * (np.asarray(theta) @ XT)
 
     def value(theta):
         t = margins(theta)
         theta = np.asarray(theta)
-        return float(np.mean(np.logaddexp(0.0, -t)) + 0.5 * ridge * theta @ theta)
+        return (np.mean(np.logaddexp(0.0, -t), axis=-1)
+                + 0.5 * ridge * np.sum(theta * theta, axis=-1))
 
     def grad(theta):
         t = margins(theta)
         s = 1.0 / (1.0 + np.exp(t))  # sigmoid(-t)
-        return -(X.T @ (y * s)) / m + ridge * np.asarray(theta)
+        return -((y * s) @ X) / m + ridge * np.asarray(theta)
 
     def hvp(theta, v):
         t = margins(theta)
         s = 1.0 / (1.0 + np.exp(t))
         w = s * (1.0 - s)
-        return (X.T @ (w * (X @ np.asarray(v)))) / m + ridge * np.asarray(v)
+        return ((w * (np.asarray(v) @ XT)) @ X) / m + ridge * np.asarray(v)
 
     return LossModel(value=value, grad=grad, hvp=hvp,
                      domain_radius=domain_radius, name="logistic")
@@ -97,7 +105,7 @@ def make_scalar_quartic(a: float, domain_radius: float = DOMAIN_RADIUS_DEFAULT) 
         raise ValueError("a must be finite and > 0")
 
     return LossModel(
-        value=lambda theta: float(a * np.asarray(theta)[0] ** 4 / 4.0),
+        value=lambda theta: a * np.asarray(theta)[..., 0] ** 4 / 4.0,
         grad=lambda theta: a * np.asarray(theta) ** 3,
         hvp=lambda theta, v: 3.0 * a * np.asarray(theta) ** 2 * np.asarray(v),
         domain_radius=domain_radius,
@@ -164,10 +172,15 @@ class MiniBatchFamily:
 
 
 def _quadratic_map(A, b):
+    """Row-wise gradient map of 0.5 theta^T A theta - b^T theta, A exactly symmetric."""
+    def value(theta):
+        theta = np.asarray(theta)
+        return 0.5 * np.sum(theta * (theta @ A), axis=-1) - theta @ b
+
     return GradientMap(
-        value=lambda theta, A=A, b=b: float(0.5 * np.asarray(theta) @ (A @ np.asarray(theta)) - b @ np.asarray(theta)),
-        grad=lambda theta, A=A, b=b: A @ np.asarray(theta) - b,
-        jvp=lambda theta, v, A=A: A @ np.asarray(v),
+        value=value,
+        grad=lambda theta: np.asarray(theta) @ A - b,
+        jvp=lambda theta, v: np.asarray(v) @ A,
     )
 
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (Kind, KSpec, OptimizerSpec, ParamVector,
-                   RunConfig, Trajectory)
+                   RunConfig, Trajectory, floor_steps)
 from .losses import LossModel, loss_from_config
 
 
@@ -218,10 +217,17 @@ class MomentumForm:
         return sums, self.output(m)
 
 
-@functools.lru_cache(maxsize=64)
 def momentum_form(spec: OptimizerSpec) -> MomentumForm:
-    """The form of spec, built once per distinct spec."""
-    return MomentumForm(spec)
+    """The form of spec, built once per distinct spec up to h, which no form
+    reads (so a stack's spec, whose h is a column, shares the form)."""
+    return _form(spec.kind, spec.beta1, spec.beta2, spec.lam, spec.eps, spec.kspec,
+                 spec.bias_correction)
+
+
+@functools.lru_cache(maxsize=64)
+def _form(*fields) -> MomentumForm:
+    kind, *rest = fields
+    return MomentumForm(OptimizerSpec(kind, 1.0, *rest))
 
 
 @dataclass(eq=False)
@@ -229,64 +235,122 @@ class MomentumState:
     """Raw exponential sums s_l^(n+1) = sum_k beta_l^k f_l(theta^(n-k)) plus the step counter.
 
     The momentum variables are m_l = bias_l(n) * s_l; keeping the sums raw
-    makes the state/history equivalence exact.
+    makes the state/history equivalence exact.  Each sum has the shape of
+    theta: (d,) for one run, (B, d) for a stack.
     """
 
     sums: List[np.ndarray]
     n: int = 0  # number of completed steps
 
     @classmethod
-    def fresh(cls, form: MomentumForm, d: int) -> "MomentumState":
-        return cls(sums=[np.zeros(d) for _ in form.slots], n=0)
+    def fresh(cls, form: MomentumForm, shape) -> "MomentumState":
+        return cls(sums=[np.zeros(shape) for _ in form.slots], n=0)
 
 
 def step_state(spec: OptimizerSpec, loss: LossModel, state: MomentumState,
                theta: ParamVector):
-    """One O(1)-state step: returns (theta_next, state_next); bitwise deterministic."""
+    """One O(1)-state step: returns (theta_next, state_next); bitwise deterministic.
+    Row-wise over a (B, d) stack whose spec.h is a (B, 1) column."""
     n = state.n
     sums, F = momentum_form(spec).advance(state.sums, theta, loss.grad(theta), n)
     return theta - spec.h * F, MomentumState(sums=sums, n=n + 1)
 
 
-def drive(config: RunConfig, loss: LossModel,
-          step: Callable[[ParamVector, int], ParamVector], meta: dict) -> Trajectory:
-    """floor(T/h) steps theta^(n+1) = step(theta^(n), n) from theta^(0),
-    recording every iterate and its loss.  The run stops early, recording the
-    step in domain_exit, at an iterate outside the loss domain (step n) or a
-    non-finite one (step n+1, not recorded).  One reduction per step serves
-    both checks: max |theta_i| is NaN or inf exactly when theta is not finite."""
+def stack_spec(spec: OptimizerSpec, hs: Optional[Sequence[float]]) -> OptimizerSpec:
+    """spec with h the (B, 1) column of step sizes hs (None: spec.h alone)."""
+    return spec.with_h(np.array([spec.h] if hs is None else hs,
+                                dtype=np.float64).reshape(-1, 1))
+
+
+def drive(config: RunConfig, loss: LossModel, step: Callable[[np.ndarray, int], np.ndarray],
+          meta: dict, hs: Optional[Sequence[float]] = None,
+          keep: Optional[Callable[[np.ndarray], None]] = None):
+    """Runs theta^(n+1) = step(theta^(n), n) from theta^(0) for a (B, d) stack
+    of rows that share the step index n and differ in h, recording every
+    iterate.  Without hs, the one run at config.optimizer.h (B = 1) is
+    returned as a Trajectory; with hs, a list with one Trajectory per h.
+
+    Row i makes floor(T/h_i) steps.  It stops early, recording the step in
+    domain_exit, at an iterate outside the loss domain (step n) or a
+    non-finite one (step n+1, not recorded).  A row that finishes or exits
+    leaves the stack, so the step never sees it again; keep(mask) is then
+    called with the boolean mask of the rows that stay, for a step that holds
+    per-row data (its h column, momentum sums) to drop the others.  One
+    reduction per step serves both checks on the common path: max |theta| is
+    NaN or inf exactly when some row is not finite."""
+    single = hs is None
+    hs = [config.optimizer.h] if single else [float(h) for h in hs]
     theta = config.initial_theta()
-    iterates = [theta]
-    losses = [loss.value(theta)]
-    exit_step = None
-    size = float(np.abs(theta).max())
-    for n in range(config.n_steps()):
-        if not size < loss.domain_radius:
-            exit_step = n
-            break
+    d = theta.size
+    ends = np.array([floor_steps(config.horizon, h) for h in hs])
+    exits: List[Optional[int]] = [None] * len(hs)
+    pieces: List[List[np.ndarray]] = [[] for _ in hs]
+    rows = np.arange(len(hs))
+    theta = np.repeat(theta[None, :], len(hs), axis=0)
+    radius = loss.domain_radius
+    segment = [theta]  # recorded iterates since the set of rows last changed
+
+    def leave(stay):
+        nonlocal rows, segment, theta
+        if segment:
+            block = np.stack(segment)
+            for p, i in enumerate(rows):
+                pieces[i].append(block[:, p])
+        rows, segment, theta = rows[stay], [], theta[stay]
+        if rows.size and keep is not None:
+            keep(stay)
+
+    n = 0
+    check = True  # whether a row may finish or sit outside the domain at n
+    while rows.size:
+        if check:
+            done = ends[rows] == n
+            outside = ~done & ~(np.abs(theta).max(axis=1) < radius)
+            for i in rows[outside]:
+                exits[i] = n
+            stay = ~(done | outside)
+            if not stay.all():
+                leave(stay)
+                if not rows.size:
+                    break
+            next_end = int(ends[rows].min())
         theta = step(theta, n)
-        size = float(np.abs(theta).max())
-        if not math.isfinite(size):
-            exit_step = n + 1
-            break
-        iterates.append(theta)
-        losses.append(loss.value(theta))
-    return Trajectory(iterates=np.array(iterates), h=config.optimizer.h, T=config.horizon,
-                      loss_values=np.array(losses), domain_exit=exit_step, meta=meta)
+        n += 1
+        check = n == next_end
+        if not np.abs(theta).max() < radius:
+            theta = np.reshape(theta, (rows.size, d))
+            finite = np.isfinite(theta).all(axis=1)
+            for i in rows[~finite]:
+                exits[i] = n
+            if not finite.all():
+                leave(finite)
+            check = True
+        segment.append(theta)
+    trajectories = [Trajectory(iterates=np.concatenate(p), h=h, T=config.horizon,
+                               value=loss.value, domain_exit=e, meta=dict(meta))
+                    for p, h, e in zip(pieces, hs, exits)]
+    return trajectories[0] if single else trajectories
 
 
-def run_memoryful(config: RunConfig, loss: Optional[LossModel] = None) -> Trajectory:
+def run_memoryful(config: RunConfig, loss: Optional[LossModel] = None,
+                  hs: Optional[Sequence[float]] = None):
     """Run floor(T/h) steps of the O(1) momentum-state engine from theta^(0),
-    recording every iterate."""
+    recording every iterate: one Trajectory at config.optimizer.h, or with
+    hs one per step size, stepped in lockstep as one stack."""
     if loss is None:
         loss = loss_from_config(config.loss_id, config.loss_params,
                                 config.dimension, config.seed)
-    spec = config.optimizer
-    state = MomentumState.fresh(momentum_form(spec), config.dimension)
+    spec = stack_spec(config.optimizer, hs)
+    state = MomentumState.fresh(momentum_form(spec), (spec.h.shape[0], config.dimension))
 
     def step(theta, n):
         nonlocal state
         theta, state = step_state(spec, loss, state, theta)
         return theta
 
-    return drive(config, loss, step, {"kind": spec.kind.value})
+    def keep(stay):
+        nonlocal spec, state
+        spec = spec.with_h(spec.h[stay])
+        state = MomentumState(sums=[s[stay] for s in state.sums], n=state.n)
+
+    return drive(config, loss, step, {"kind": spec.kind.value}, hs, keep)

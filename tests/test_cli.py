@@ -68,6 +68,11 @@ def test_unknown_override_key_named(sweep_cfg, tmp_path, capsys):
     assert "experiment.bogus" in capsys.readouterr().err
 
 
+STOCK_HB_CFG = Path(__file__).resolve().parents[1] / "configs" / "heavyball_sweep.cfg"
+COMMAND_OF = {"optimizer.kind=adamw": ("minibatch-corr",
+                                       STOCK_HB_CFG.parent / "minibatch_perm.cfg")}
+
+
 @pytest.mark.parametrize("override,key", [
     ("run.horizon=inf", "horizon"),
     ("experiment.h_grid=1e-2,0,5e-3", "experiment.h_grid"),
@@ -86,9 +91,12 @@ def test_unknown_override_key_named(sweep_cfg, tmp_path, capsys):
     ("experiment.ode_target=bogus", "experiment.ode_target"),
     ("experiment.order=bogus", "experiment.order"),
     ("optimizer.kspec=bogus", "optimizer.kspec"),
+    ("optimizer.kind=adamw", "optimizer.kind"),
 ])
 def test_bad_value_exits_2_naming_key(override, key, sweep_cfg, tmp_path, capsys):
-    rc = run_cli("sweep", "--config", sweep_cfg, "--out-dir", tmp_path / "o",
+    # minibatch-corr evaluates only the heavy-ball correction
+    command, cfg = COMMAND_OF.get(override, ("sweep", sweep_cfg))
+    rc = run_cli(command, "--config", cfg, "--out-dir", tmp_path / "o",
                  "--jobs", 1, "--set", override)
     assert rc == 2
     assert key in capsys.readouterr().err
@@ -303,9 +311,6 @@ def test_json_config_equivalent_to_ini(sweep_cfg, tmp_path):
     assert config_hash(resolve_config(str(jpath))) == config_hash(ini)
 
 
-STOCK_HB_CFG = Path(__file__).resolve().parents[1] / "configs" / "heavyball_sweep.cfg"
-
-
 @pytest.mark.parametrize("command,gate", [("ode-compare", "ode-slope"),
                                           ("defect", "defect-slope")])
 def test_degenerate_fit_with_invalid_points_fails(command, gate, tmp_path, capsys):
@@ -317,6 +322,19 @@ def test_degenerate_fit_with_invalid_points_fails(command, gate, tmp_path, capsy
     assert f"[FAIL] {gate}" in capsys.readouterr().out
     summary = json.loads(next(out.glob(f"{command}_*_summary.json")).read_text())
     assert summary["status"] == "fail"
+
+
+@pytest.mark.parametrize("target", ["memoryful", "memoryless-finite-n"])
+def test_ode_compare_offset_targets_get_the_first_order_window(target, tmp_path, capsys):
+    # these targets keep an O(h) offset from the flow, so their gap falls as h
+    rc = run_cli("ode-compare", "--config", STOCK_HB_CFG, "--out-dir", tmp_path / "o",
+                 "--jobs", 1, "--set", f"experiment.ode_target={target}",
+                 "--set", "experiment.h_grid=1e-2,5e-3,2.5e-3,1.25e-3,6.25e-4")
+    assert rc == 0
+    assert "[PASS] ode-slope" in capsys.readouterr().out
+    summary = json.loads(next((tmp_path / "o").glob("ode-compare_*_summary.json")).read_text())
+    gate = next(g for g in summary["gates"] if g["name"] == "ode-slope")
+    assert gate["limit"] == "[0.8, 1.3]" and 0.8 <= summary["slope"] <= 1.3
 
 
 def test_degenerate_fit_at_rounding_floor_passes(sweep_cfg, tmp_path, capsys):

@@ -120,11 +120,3 @@ def test_sweep_domain_exit_excluded_from_fit():
     assert any(not p.valid and p.note == "domain-exit" for p in rep.points)
     fitted_hs = {p.h for p in rep.fitted_points()}
     assert all(p.h not in fitted_hs for p in rep.points if not p.valid)
-
-
-def test_parallel_jobs_identical_results():
-    cfg = hb_config()
-    serial = global_error_sweep(cfg, GRID, MemorylessKind.second(), jobs=1)
-    parallel = global_error_sweep(cfg, GRID, MemorylessKind.second(), jobs=2)
-    assert [p.metric for p in serial.points] == [p.metric for p in parallel.points]
-    assert serial.slope == parallel.slope

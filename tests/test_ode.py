@@ -91,7 +91,7 @@ def test_rk4_matches_exact_linear_flow(rng):
     loss = make_quadratic(A, b)
     theta0 = rng.standard_normal(3)
     h, T = 1e-2, 1.0
-    ode = ModifiedODE(field=lambda th: (-(A @ th - b), np.zeros(3)), h=h)
+    ode = ModifiedODE(field=lambda th: (-(th @ A - b), np.zeros(3)), h=h)
     flow = integrate_rk4(ode, theta0, T, dt=h / 8)
     w, V = np.linalg.eigh(A)
     fixed_point = np.linalg.solve(A, b)
