@@ -34,7 +34,7 @@ from .memoryless import CorrectionVariant, MemorylessKind
 from .minibatch import (expected_correction_decomposed, expected_correction_exhaustive,
                         expected_correction_mc, modified_loss_minibatch,
                         perm_coefficients)
-from .ode import ODE_TARGETS, compare_discrete_vs_ode
+from .ode import ODE_TARGETS, compare_discrete_vs_ode, gap_order
 
 COMMANDS = ("run", "sweep", "defect", "closeness", "ode-compare",
             "minibatch-corr", "corr-table", "gradcheck")
@@ -291,13 +291,10 @@ def build_run_config(resolved: dict) -> RunConfig:
     run = resolved["run"]
     loss = dict(resolved["loss"])
     loss_id = str(loss.pop("id"))
-    theta0 = run["theta0"]
-    if isinstance(theta0, list):
-        theta0 = tuple(theta0)
     try:
         return RunConfig(seed=int(run["seed"]), dimension=int(run["dimension"]),
                          horizon=float(run["horizon"]), loss_id=loss_id,
-                         loss_params=loss, optimizer=spec, theta0=theta0,
+                         loss_params=loss, optimizer=spec, theta0=run["theta0"],
                          theta0_scale=float(run["theta0_scale"]))
     except ValueError as exc:
         raise ConfigError(f"bad run config: {exc}") from exc
@@ -477,10 +474,10 @@ def cmd_ode_compare(resolved, out_dir):
     rows = _report_rows(report)
     rows.append(["slope", report.slope, report.status])
     write_csv(out_dir / f"{stem}.csv", ["h", "max_error", "status"], rows)
-    # the memoryful and finite-n targets keep an O(h) offset from the flow
-    # (compare_discrete_vs_ode), so they get the first-order window
-    lo, hi = _slope_gates(resolved, *(1.7, 2.3) if exp["ode_target"] == ODE_TARGETS[0]
-                          else (0.8, 1.3))
+    # an offset target whose contracted update depends on n keeps an O(h)
+    # offset from the flow, so it gets the first-order window
+    order = gap_order(config.optimizer, exp["ode_target"])
+    lo, hi = _slope_gates(resolved, *(1.7, 2.3) if order == 2 else (0.8, 1.3))
     gates = _fit_gates(report, "ode-slope", "ode-r2", lo, hi, exp["r2_min"])
     return _finish(out_dir, stem, resolved, gates,
                    {"slope": report.slope, "r2": report.r2})

@@ -5,7 +5,7 @@ slope fitting with a rounding-noise floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,10 +34,8 @@ class SweepReport:
 
     points: List[SweepPoint]
     slope: float
-    intercept: float
     r2: float
     status: str  # "ok" | "degenerate"
-    metadata: dict = field(default_factory=dict)
 
     def fitted_points(self) -> List[SweepPoint]:
         return [p for p in self.points if p.valid and p.metric > ERROR_FLOOR]
@@ -59,13 +57,13 @@ def fit_loglog(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, flo
     return slope, intercept, r2
 
 
-def _assemble_report(points: List[SweepPoint], metadata: dict) -> SweepReport:
+def _assemble_report(points: List[SweepPoint]) -> SweepReport:
     nan = float("nan")
     report = SweepReport(points=sorted(points, key=lambda p: -p.h), slope=nan,
-                         intercept=nan, r2=nan, status="degenerate", metadata=metadata)
+                         r2=nan, status="degenerate")
     usable = [(p.h, p.metric) for p in report.fitted_points()]
     if len(usable) >= 3:
-        report.slope, report.intercept, report.r2 = fit_loglog(usable)
+        report.slope, _, report.r2 = fit_loglog(usable)
         report.status = "ok"
     return report
 
@@ -79,15 +77,20 @@ def n_burn_steps(spec: OptimizerSpec, tol: float = 1e-10) -> int:
 
 
 def _gap_points(h_grid: Sequence[float], full: List[Trajectory],
-                approx: List[Trajectory]) -> List[SweepPoint]:
+                approx: List[Trajectory], n_burn: int = 0) -> List[SweepPoint]:
+    """max_n || a^(n) - b^(n) ||_inf over n >= n_burn for each h and pair of
+    runs; a point is invalid when either run left the domain, or neither
+    reaches past the burn-in."""
     points = []
     for h, a, b in zip(h_grid, full, approx):
-        if a.domain_exit is not None or b.domain_exit is not None:
-            points.append(SweepPoint(h=h, metric=float("nan"), valid=False, note="domain-exit"))
-            continue
         m = min(len(a), len(b))
-        points.append(SweepPoint(h=h, metric=float(np.max(np.abs(a.iterates[:m]
-                                                                 - b.iterates[:m])))))
+        exited = a.domain_exit is not None or b.domain_exit is not None
+        if exited or n_burn >= m:
+            points.append(SweepPoint(h=h, metric=float("nan"), valid=False,
+                                     note="domain-exit" if exited else "burn-in"))
+            continue
+        gap = np.max(np.abs(a.iterates[n_burn:m] - b.iterates[n_burn:m]))
+        points.append(SweepPoint(h=h, metric=float(gap)))
     return points
 
 
@@ -107,9 +110,7 @@ def global_error_sweep(config: RunConfig, h_grid: Sequence[float], kind: Memoryl
     if memoryful is None:
         memoryful = run_memoryful(config, loss=loss, hs=h_grid)
     approx = run_memoryless(config, kind, loss=loss, hs=h_grid)
-    meta = {"experiment": "global-error", "order": kind.order.value,
-            "variant": kind.variant.value, "kind": config.optimizer.kind.value}
-    return _assemble_report(_gap_points(h_grid, memoryful, approx), meta)
+    return _assemble_report(_gap_points(h_grid, memoryful, approx))
 
 
 def defect_sweep(config: RunConfig, h_grid: Sequence[float], n_max: Optional[int] = None):
@@ -130,8 +131,7 @@ def defect_sweep(config: RunConfig, h_grid: Sequence[float], n_max: Optional[int
             continue
         details[h] = next(defects)
         points.append(SweepPoint(h=h, metric=float(np.max(details[h]))))
-    meta = {"experiment": "defect", "kind": config.optimizer.kind.value}
-    return _assemble_report(points, meta), details
+    return _assemble_report(points), details
 
 
 def trajectory_closeness(config: RunConfig, h_list: Sequence[float]) -> dict:
@@ -155,7 +155,6 @@ def trajectory_closeness(config: RunConfig, h_list: Sequence[float]) -> dict:
             "gap_first": gap1,
             "domain_exit": [t.domain_exit for t in (full, second, first)],
         }
-    out["n_burn"] = n_burn_steps(config.optimizer)
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -156,10 +156,6 @@ class MiniBatchFamily:
 
     batches: tuple
     mean: GradientMap
-    # Stacked (A_k, b_k) when every batch is the gradient of a quadratic;
-    # enables the vectorized Monte Carlo path.
-    quad_A: Optional[np.ndarray] = None
-    quad_b: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -213,7 +209,7 @@ def make_minibatch_quadratics(count: int, d: int, spread: float, seed: int) -> M
 
     batches = tuple(_quadratic_map(A_stack[k], b_stack[k]) for k in range(count))
     mean = _quadratic_map(A_mean, b_mean)
-    return MiniBatchFamily(batches=batches, mean=mean, quad_A=A_stack, quad_b=b_stack,
+    return MiniBatchFamily(batches=batches, mean=mean,
                            meta={"count": count, "d": d, "spread": spread, "seed": seed})
 
 

@@ -53,23 +53,30 @@ def perm_coefficients(beta: float, n: Optional[int] = None) -> PermutationCoeffi
     return PermutationCoefficients(c_eq, total - c_eq, beta, n)
 
 
-def _correction_for_order(family: MiniBatchFamily, beta: float, theta: ParamVector,
-                          h: float, order) -> np.ndarray:
-    """Correction vector for one epoch ordering, via prefix sums over the
-    contracted per-step updates."""
-    n = family.size - 1
-    G = [family.batches[i].grad(theta) for i in range(family.size)]
-    # contracted update at inner step s under this ordering
-    F = np.zeros_like(theta)
-    prefix = [np.zeros_like(theta)]
+def epoch_corrections(family: MiniBatchFamily, beta: float, theta: ParamVector,
+                      h: float, orders: np.ndarray) -> np.ndarray:
+    """(S, d) epoch corrections, one per ordering in the rows of the (S, M)
+    array orders, for any family of row-wise gradient maps.
+
+    With F_s the contracted update at inner step s and W_p = sum_{s >= p} F_s,
+    the correction of an ordering is h beta sum_p beta^(n-1-p) J_{order[p]} W_p.
+    The jvp is linear in its direction, so each batch's weighted windows are
+    summed first and its jvp applied once, to all orderings at once."""
+    M = family.size
+    n = M - 1
+    rows = np.arange(orders.shape[0])
+    G = np.stack([b.grad(theta) for b in family.batches])  # (M, d)
+    # prefix sums of the contracted updates of every ordering
+    prefix = np.zeros((n + 1, orders.shape[0], theta.size))
+    F = 0.0
     for s in range(n):
-        F = G[order[s]] + beta * F
-        prefix.append(prefix[-1] + F)
-    c = np.zeros_like(theta)
-    for k in range(n):
-        S_k = prefix[n] - prefix[n - 1 - k]
-        c = c + beta ** k * family.batches[order[n - 1 - k]].jvp(theta, S_k)
-    return h * beta * c
+        F = G[orders[:, s]] + beta * F
+        prefix[s + 1] = prefix[s] + F
+    # per batch, the weighted windows that batch closes, per ordering
+    windows = np.zeros((M, orders.shape[0], theta.size))
+    for p in range(n):
+        windows[orders[:, p], rows] += beta ** (n - 1 - p) * (prefix[n] - prefix[p])
+    return h * beta * sum(b.jvp(theta, w) for b, w in zip(family.batches, windows))
 
 
 def expected_correction_exhaustive(family: MiniBatchFamily, beta: float,
@@ -80,12 +87,8 @@ def expected_correction_exhaustive(family: MiniBatchFamily, beta: float,
         raise ValueError(
             f"family of {family.size} needs {family.size}! orderings; "
             "use expected_correction_mc")
-    total = np.zeros_like(theta)
-    count = 0
-    for order in permutations(range(family.size)):
-        total += _correction_for_order(family, beta, theta, h, order)
-        count += 1
-    return total / count
+    orders = np.array(list(permutations(range(family.size))))
+    return epoch_corrections(family, beta, theta, h, orders).mean(axis=0)
 
 
 def expected_correction_mc(family: MiniBatchFamily, beta: float, theta: ParamVector,
@@ -96,35 +99,10 @@ def expected_correction_mc(family: MiniBatchFamily, beta: float, theta: ParamVec
     theta = as_param_vector(theta)
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    g = rng(seed, "minibatch-mc")
-    M = family.size
-    n = M - 1
-    orders = np.tile(np.arange(M), (samples, 1))
-    orders = g.permuted(orders, axis=1)
-
-    if family.quad_A is not None:
-        # vectorized path for quadratic batches
-        G = family.quad_A @ theta - family.quad_b  # (M, d)
-        Gp = G[orders]  # (samples, M, d)
-        F = np.zeros((samples, theta.size))
-        prefix = np.zeros((samples, n + 1, theta.size))
-        for s in range(n):
-            F = Gp[:, s, :] + beta * F
-            prefix[:, s + 1, :] = prefix[:, s, :] + F
-        vals = np.zeros((samples, theta.size))
-        for k in range(n):
-            S_k = prefix[:, n, :] - prefix[:, n - 1 - k, :]
-            A_sel = family.quad_A[orders[:, n - 1 - k]]  # (samples, d, d)
-            vals += beta ** k * np.einsum("sij,sj->si", A_sel, S_k)
-        vals *= h * beta
-    else:
-        vals = np.empty((samples, theta.size))
-        for i in range(samples):
-            vals[i] = _correction_for_order(family, beta, theta, h, orders[i])
-
-    mean = vals.mean(axis=0)
-    stderr = vals.std(axis=0, ddof=1) / np.sqrt(samples)
-    return mean, stderr
+    orders = rng(seed, "minibatch-mc").permuted(np.tile(np.arange(family.size), (samples, 1)),
+                                                 axis=1)
+    vals = epoch_corrections(family, beta, theta, h, orders)
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(samples)
 
 
 def batch_pair_expectations(family: MiniBatchFamily, theta: ParamVector

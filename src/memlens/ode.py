@@ -11,19 +11,18 @@ grad and one hvp give F and G2 together.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import OptimizerSpec, ParamVector, RunConfig, as_param_vector, floor_steps
-from .harness import SweepPoint, SweepReport, _assemble_report, n_burn_steps
+from .core import OptimizerSpec, ParamVector, RunConfig
+from .harness import SweepReport, _assemble_report, _gap_points, n_burn_steps
 from .losses import LossModel, loss_from_config
-from .memoryful import momentum_form, run_memoryful, stack_spec
+from .memoryful import drive, momentum_form, run_memoryful, stack_spec
 from .memoryless import CorrectionVariant, MemorylessKind, run_memoryless
 
-DT_RATIO_DEFAULT = 8  # dt = h / DT_RATIO_DEFAULT
+DT_RATIO_DEFAULT = 8  # RK4 substeps per h
 # discrete sides of compare_discrete_vs_ode; the first is the default
 ODE_TARGETS = ("memoryless-asymptotic", "memoryless-finite-n", "memoryful")
 
@@ -32,19 +31,13 @@ ODE_TARGETS = ("memoryless-asymptotic", "memoryless-finite-n", "memoryful")
 class ModifiedODE:
     """theta' = G1(theta) + h*G2(theta), matching one discrete step to third
     order in h.  field(theta) returns (G1, G2) from one evaluation at a
-    validated parameter vector, row-wise over a (B, d) stack; G1 and G2
-    validate their argument, rhs (the integrator's hot path) does not.  h is
-    a float, or the (B, 1) column of a stack of flows."""
+    validated parameter vector, row-wise over a (B, d) stack; rhs is the
+    integrator's hot path.  h is a float, or the (B, 1) column of a stack of
+    flows."""
 
     field: Callable[[ParamVector], Tuple[np.ndarray, np.ndarray]]
     h: Union[float, np.ndarray]
     meta: dict = dc_field(default_factory=dict)
-
-    def G1(self, theta: ParamVector) -> np.ndarray:
-        return self.field(as_param_vector(theta))[0]
-
-    def G2(self, theta: ParamVector) -> np.ndarray:
-        return self.field(as_param_vector(theta))[1]
 
     def rhs(self, theta: ParamVector) -> np.ndarray:
         g1, g2 = self.field(theta)
@@ -68,70 +61,42 @@ def build_modified_ode(spec: OptimizerSpec, loss: LossModel) -> ModifiedODE:
     return ModifiedODE(field=field, h=spec.h, meta={"kind": spec.kind.value})
 
 
-def integrate_rk4(odesys: ModifiedODE, theta0: ParamVector, T: float,
-                  dt: Union[float, np.ndarray, None] = None,
-                  domain_radius: float = math.inf, include_g2: bool = True):
-    """Classical 4-stage Runge-Kutta; returns iterates sampled at t = n*h.
-
-    dt must be at most h/4 so integrator error stays far below the O(h^2)
-    quantities being compared; it is rounded down to divide h exactly.  With
-    odesys.h a float the one flow from theta0 is returned as an array, and a
-    flow that leaves the domain raises ValueError.  With odesys.h a (B, 1)
-    column, and dt a matching column, every row of a stack starts at theta0
-    and takes the same number of substeps per sample, so samples line up;
-    row i is sampled floor(T/h_i) times and then leaves the stack, as does a
-    row whose flow leaves the domain.  The result is a list with the samples
-    of each row, None for a row that left the domain.
-    """
-    h = odesys.h
-    if dt is None:
-        dt = h / DT_RATIO_DEFAULT
-    if np.any(dt > h / 4.0):
-        raise ValueError("dt must be <= h/4")
-    substeps = max(4, int(math.ceil(float(np.max(h / dt)) - 1e-12)))
-    dt = h / substeps
-    ode = odesys  # rebound as rows leave
+def integrate_rk4(config: RunConfig, loss: LossModel, odesys: ModifiedODE,
+                  dt_ratio: int = DT_RATIO_DEFAULT, include_g2: bool = True):
+    """Classical 4-stage Runge-Kutta from theta^(0), dt_ratio substeps of
+    dt = h / dt_ratio per sample, sampled at t = n*h by memoryful.drive: one
+    sample is one step, so a flow ends and leaves the domain by the driver's
+    rules.  odesys.h is config.optimizer.h (one flow, a Trajectory), or the
+    (B, 1) column of a stack (a list with one Trajectory per row)."""
+    if dt_ratio < 4:  # integrator error must stay far below the O(h^2) gaps
+        raise ValueError(f"dt_ratio must be >= 4, got {dt_ratio}")
+    ode, dt = odesys, odesys.h / dt_ratio  # rebound as rows leave
     rhs = (lambda th: ode.rhs(th)) if include_g2 else (lambda th: ode.field(th)[0])
 
-    theta0 = as_param_vector(theta0)
-    hs = np.reshape(h, -1)
-    ends = np.array([floor_steps(T, float(x)) for x in hs])
-    flows = [np.empty((e + 1, theta0.size)) for e in ends]
-    for flow in flows:
-        flow[0] = theta0
-    theta = np.repeat(theta0[None, :], hs.size, axis=0)
-    rows = np.arange(hs.size)
-
-    def leave(stay):
-        nonlocal rows, theta, ode, dt
-        rows, theta = rows[stay], theta[stay]
-        if rows.size:
-            ode, dt = replace(ode, h=ode.h[stay]), dt[stay]
-
-    n = 0
-    while True:
-        stay = ends[rows] > n
-        if not stay.all():
-            leave(stay)
-        if not rows.size:
-            break
-        for _ in range(substeps):
+    def step(theta, n):
+        for _ in range(dt_ratio):
             k1 = rhs(theta)
             k2 = rhs(theta + 0.5 * dt * k1)
             k3 = rhs(theta + 0.5 * dt * k2)
             k4 = rhs(theta + dt * k3)
             theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        n += 1
-        inside = np.abs(theta).max(axis=1) < domain_radius  # False on NaN
-        if not inside.all():
-            if np.ndim(h) == 0:
-                raise ValueError(f"flow left the domain near t = {n * h}")
-            for i in rows[~inside]:
-                flows[i] = None
-            leave(inside)
-        for p, i in enumerate(rows):
-            flows[i][n] = theta[p]
-    return flows if np.ndim(h) else flows[0]
+        return theta
+
+    def keep(stay):
+        nonlocal ode, dt
+        ode, dt = replace(ode, h=ode.h[stay]), dt[stay]
+
+    hs = None if np.ndim(odesys.h) == 0 else np.reshape(odesys.h, -1)
+    return drive(config, loss, step, odesys.meta, hs, keep)
+
+
+def gap_order(spec: OptimizerSpec, target: str) -> int:
+    """Order in h of compare_discrete_vs_ode's gap for target: 2, or 1 for an
+    offset target whose contracted update depends on n (see there)."""
+    slots = momentum_form(spec).slots
+    if target == ODE_TARGETS[0] or all(s.bias_kind == "bc" for s in slots if s.beta > 0.0):
+        return 2
+    return 1
 
 
 def compare_discrete_vs_ode(config: RunConfig, h_grid: Sequence[float],
@@ -141,10 +106,12 @@ def compare_discrete_vs_ode(config: RunConfig, h_grid: Sequence[float],
 
     The default discrete target is the autonomous memoryless iteration with
     large-n coefficients, the iteration the ODE actually models; "memoryful"
-    and "memoryless-finite-n" targets are also available (their n-dependent
+    and "memoryless-finite-n" targets are also available.  Their n-dependent
     early coefficients are excluded via a burn-in cutoff but still leave an
-    O(h) offset, so their gap falls as h, not h^2).  The flows of every h
-    run as one RK4 stack, and the discrete runs as one lockstep stack.
+    offset: O(h), so the gap falls as h, unless every slot with memory is
+    bias-corrected, when the contracted update does not depend on n and the
+    offset is O(h^2).  The flows of every h run as one RK4 stack, and the
+    discrete runs as one lockstep stack.
     """
     loss = loss_from_config(config.loss_id, config.loss_params,
                             config.dimension, config.seed)
@@ -161,21 +128,6 @@ def compare_discrete_vs_ode(config: RunConfig, h_grid: Sequence[float],
         n_burn = n_burn_steps(config.optimizer, tol=1e-12)
     else:
         raise ValueError(f"unknown target: {target!r}")
-    spec = stack_spec(config.optimizer, grid)
-    flows = integrate_rk4(build_modified_ode(spec, loss), config.initial_theta(),
-                          config.horizon, dt=spec.h / dt_ratio,
-                          domain_radius=loss.domain_radius, include_g2=include_g2)
-    points = []
-    for h, flow, disc in zip(grid, flows, discrete):
-        if flow is None or disc.domain_exit is not None:
-            points.append(SweepPoint(h=h, metric=float("nan"), valid=False, note="domain-exit"))
-            continue
-        m = min(len(disc), flow.shape[0])
-        if n_burn >= m:
-            points.append(SweepPoint(h=h, metric=float("nan"), valid=False, note="burn-in"))
-            continue
-        gap = np.max(np.abs(disc.iterates[n_burn:m] - flow[n_burn:m]))
-        points.append(SweepPoint(h=h, metric=float(gap)))
-    meta = {"experiment": "ode-compare", "kind": config.optimizer.kind.value,
-            "target": target, "include_g2": include_g2, "dt_ratio": dt_ratio}
-    return _assemble_report(points, meta)
+    odesys = build_modified_ode(stack_spec(config.optimizer, grid), loss)
+    flows = integrate_rk4(config, loss, odesys, dt_ratio, include_g2)
+    return _assemble_report(_gap_points(grid, discrete, flows, n_burn))

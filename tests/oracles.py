@@ -2,8 +2,8 @@
 against: the history engine that sums over every past iterate, hand-written
 componentwise memoryless steps, a literal decaying double sum, the
 equal-momentum identity of the adaptive and sign-momentum corrections, the
-large-n mean drift of the mini-batch correction, and a modified-equation
-field built from central differences.
+large-n mean drift of the mini-batch correction and its per-ordering
+evaluation, and a modified-equation field built from central differences.
 """
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -166,6 +166,25 @@ def expected_drift_largen(family: MiniBatchFamily, beta: float, theta: ParamVect
     c = h * (beta / (1.0 - beta) ** 3 * full_drift
              + beta / ((1.0 - beta) ** 2 * (1.0 + beta)) * noise_part)
     return gbar / (1.0 - beta) + c
+
+
+def _correction_for_order(family: MiniBatchFamily, beta: float, theta: ParamVector,
+                          h: float, order) -> np.ndarray:
+    """Correction vector for one epoch ordering, via prefix sums over the
+    contracted per-step updates."""
+    n = family.size - 1
+    G = [family.batches[i].grad(theta) for i in range(family.size)]
+    # contracted update at inner step s under this ordering
+    F = np.zeros_like(theta)
+    prefix = [np.zeros_like(theta)]
+    for s in range(n):
+        F = G[order[s]] + beta * F
+        prefix.append(prefix[-1] + F)
+    c = np.zeros_like(theta)
+    for k in range(n):
+        S_k = prefix[n] - prefix[n - 1 - k]
+        c = c + beta ** k * family.batches[order[n - 1 - k]].jvp(theta, S_k)
+    return h * beta * c
 
 
 # -- modified equation ------------------------------------------------------------

@@ -324,17 +324,25 @@ def test_degenerate_fit_with_invalid_points_fails(command, gate, tmp_path, capsy
     assert summary["status"] == "fail"
 
 
-@pytest.mark.parametrize("target", ["memoryful", "memoryless-finite-n"])
-def test_ode_compare_offset_targets_get_the_first_order_window(target, tmp_path, capsys):
-    # these targets keep an O(h) offset from the flow, so their gap falls as h
+@pytest.mark.parametrize("target,kind,lo,hi", [
+    ("memoryful", "heavyball", 0.8, 1.3),
+    ("memoryless-finite-n", "heavyball", 0.8, 1.3),
+    ("memoryless-finite-n", "adamw", 1.7, 2.3),
+], ids=["memoryful", "memoryless-finite-n", "memoryless-finite-n-adamw"])
+def test_ode_compare_offset_targets_get_the_first_order_window(target, kind, lo, hi,
+                                                               tmp_path, capsys):
+    # these targets keep an O(h) offset from the flow, so their gap falls as h;
+    # with every memory slot bias-corrected (AdamW) the contracted update does
+    # not depend on n, the offset is O(h^2) and the gap falls as h^2
     rc = run_cli("ode-compare", "--config", STOCK_HB_CFG, "--out-dir", tmp_path / "o",
                  "--jobs", 1, "--set", f"experiment.ode_target={target}",
+                 "--set", f"optimizer.kind={kind}",
                  "--set", "experiment.h_grid=1e-2,5e-3,2.5e-3,1.25e-3,6.25e-4")
     assert rc == 0
     assert "[PASS] ode-slope" in capsys.readouterr().out
     summary = json.loads(next((tmp_path / "o").glob("ode-compare_*_summary.json")).read_text())
     gate = next(g for g in summary["gates"] if g["name"] == "ode-slope")
-    assert gate["limit"] == "[0.8, 1.3]" and 0.8 <= summary["slope"] <= 1.3
+    assert gate["limit"] == f"[{lo}, {hi}]" and lo <= summary["slope"] <= hi
 
 
 def test_degenerate_fit_at_rounding_floor_passes(sweep_cfg, tmp_path, capsys):

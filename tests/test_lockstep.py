@@ -71,14 +71,30 @@ def test_stacked_rk4_rows_equal_single_flows(spec, loss_id):
     cfg, loss = fixture_config(loss_id, spec)
     hs = [1e-2, 5e-3, 2.5e-3]
     theta0 = cfg.initial_theta()
-    stacked = stack_spec(spec, hs)
-    flows = integrate_rk4(build_modified_ode(stacked, loss), theta0, cfg.horizon,
-                          dt=stacked.h / 8)
+    flows = integrate_rk4(cfg, loss, build_modified_ode(stack_spec(spec, hs), loss))
     for h, flow in zip(hs, flows):
-        single = integrate_rk4(build_modified_ode(spec.with_h(h), loss), theta0,
-                               cfg.horizon, dt=h / 8)
-        assert flow.shape == single.shape == (floor_steps(cfg.horizon, h) + 1, theta0.size)
-        assert rel_linf(flow, single) <= 1e-13
+        single = integrate_rk4(with_h(cfg, h), loss, build_modified_ode(spec.with_h(h), loss))
+        assert flow.iterates.shape == single.iterates.shape == (floor_steps(cfg.horizon, h) + 1,
+                                                                theta0.size)
+        assert rel_linf(flow.iterates, single.iterates) <= 1e-13
+
+
+def test_rk4_row_leaving_the_domain_spares_the_others():
+    # at h = 1 the modified heavy-ball flow is stiff enough that RK4 with
+    # dt = h/8 blows up; the two small steps stay stable
+    cfg = RunConfig(seed=7, dimension=2, horizon=2.0, loss_id="quadratic",
+                    loss_params={"eig_min": 1.0, "eig_max": 3.0, "domain_radius": 10.0},
+                    optimizer=OptimizerSpec.heavy_ball(1.0, 0.9))
+    loss = loss_from_config(cfg.loss_id, cfg.loss_params, cfg.dimension, cfg.seed)
+    hs = [1.0, 2e-2, 1e-2]
+    flows = integrate_rk4(cfg, loss, build_modified_ode(stack_spec(cfg.optimizer, hs), loss))
+    assert flows[0].domain_exit is not None
+    for h, flow in zip(hs[1:], flows[1:]):
+        single = integrate_rk4(with_h(cfg, h), loss,
+                               build_modified_ode(cfg.optimizer.with_h(h), loss))
+        assert flow.domain_exit is None and single.domain_exit is None
+        assert len(flow) == len(single) == floor_steps(cfg.horizon, h) + 1
+        assert rel_linf(flow.iterates, single.iterates) <= 1e-13
 
 
 def scaling_drive(theta0, factors, hs, radius):

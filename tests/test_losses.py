@@ -127,7 +127,11 @@ def test_minibatch_family_mean_and_spread(rng):
 def test_minibatch_family_deterministic():
     a = make_minibatch_quadratics(5, 3, 0.3, seed=4)
     b = make_minibatch_quadratics(5, 3, 0.3, seed=4)
-    assert np.array_equal(a.quad_A, b.quad_A) and np.array_equal(a.quad_b, b.quad_b)
+    zero, eye = np.zeros(3), np.eye(3)
+    for ba, bb in zip(a.batches, b.batches):
+        # grad(0) = -b_k and the jvp on the identity is A_k
+        assert np.array_equal(ba.grad(zero), bb.grad(zero))
+        assert np.array_equal(ba.jvp(zero, eye), bb.jvp(zero, eye))
 
 
 def test_loss_from_config_ids():

@@ -5,10 +5,12 @@ from memlens import (OptimizerSpec, correction_bruteforce,
                      expected_correction_exhaustive, expected_correction_mc,
                      make_minibatch_quadratics, modified_loss_minibatch,
                      perm_coefficients)
-from memlens.minibatch import (batch_pair_expectations,
-                               expected_correction_decomposed, _correction_for_order)
+from memlens.core import rng as seeded_rng
+from memlens.minibatch import (batch_pair_expectations, epoch_corrections,
+                               expected_correction_decomposed)
 
-from oracles import expected_drift_largen
+from conftest import rel_linf
+from oracles import _correction_for_order, expected_drift_largen
 
 
 @pytest.fixture
@@ -136,13 +138,29 @@ def test_mc_agrees_with_exhaustive(family):
 
 
 def test_mc_vectorized_matches_loop_path(family):
-    # strip the stacked quadratic data to force the generic per-sample loop
+    # the per-ordering reference loop over the orderings the Monte Carlo
+    # estimate draws from its seeded stream
     theta = np.array([0.3, -1.1, 0.7])
-    generic = type(family)(batches=family.batches, mean=family.mean)
+    orders = seeded_rng(5, "minibatch-mc").permuted(np.tile(np.arange(family.size), (500, 1)),
+                                                    axis=1)
+    loop = np.array([_correction_for_order(family, 0.5, theta, 1e-3, o) for o in orders])
     a = expected_correction_mc(family, 0.5, theta, 1e-3, 500, seed=5)
-    b = expected_correction_mc(generic, 0.5, theta, 1e-3, 500, seed=5)
+    b = loop.mean(axis=0), loop.std(axis=0, ddof=1) / np.sqrt(500)
     assert np.max(np.abs(a[0] - b[0])) <= 1e-15
     assert np.max(np.abs(a[1] - b[1])) <= 1e-15
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("count", [3, 6])
+def test_epoch_corrections_equal_reference_rows(count, beta):
+    fam = make_minibatch_quadratics(count, 4, 0.5, seed=31)
+    g = np.random.default_rng(count)
+    theta = g.standard_normal(4)
+    orders = np.array([g.permutation(count) for _ in range(50)])
+    got = epoch_corrections(fam, beta, theta, 1e-2, orders)
+    assert got.shape == (50, 4)
+    for row, order in zip(got, orders):
+        assert rel_linf(row, _correction_for_order(fam, beta, theta, 1e-2, order)) <= 1e-14
 
 
 def test_mc_zero_spread_zero_stderr():

@@ -19,6 +19,13 @@ def hb_config(h=1e-2, beta=0.9, d=4, T=1.0, eig=(0.02, 0.2)):
                      optimizer=OptimizerSpec.heavy_ball(h, beta))
 
 
+def rk4_config(theta0, T, h):
+    # integrate_rk4 reads theta^(0), the horizon and h of its config
+    return RunConfig(seed=0, dimension=len(theta0), horizon=T, loss_id="quadratic",
+                     loss_params={}, optimizer=OptimizerSpec.heavy_ball(h, 0.0),
+                     theta0=tuple(theta0))
+
+
 def test_heavyball_g2_closed_form(rng):
     # G2 must equal -(1+beta)/(4(1-beta)^3) * grad ||grad||^2
     A = random_spd(5, rng)
@@ -29,7 +36,7 @@ def test_heavyball_g2_closed_form(rng):
         theta = rng.standard_normal(5)
         grad_norm_sq_grad = 2.0 * loss.hvp(theta, loss.grad(theta))
         expected = -(1 + beta) / (4 * (1 - beta) ** 3) * grad_norm_sq_grad
-        assert np.max(np.abs(ode.G2(theta) - expected)) <= 1e-10
+        assert np.max(np.abs(ode.field(theta)[1] - expected)) <= 1e-10
 
 
 def test_beta_zero_pure_discretization_term(rng):
@@ -38,14 +45,14 @@ def test_beta_zero_pure_discretization_term(rng):
     ode = build_modified_ode(OptimizerSpec.heavy_ball(1e-2, 0.0), loss)
     theta = rng.standard_normal(3)
     expected = -2.0 * loss.hvp(theta, loss.grad(theta)) / 4.0
-    assert np.max(np.abs(ode.G2(theta) - expected)) <= 1e-12
+    assert np.max(np.abs(ode.field(theta)[1] - expected)) <= 1e-12
 
 
 def test_scalar_quadratic_g2_value():
     # d=1, A=a=1, beta=0.5, theta=1: G2 = -(1.5/0.125) * 2/4 = -6
     loss = make_quadratic(np.array([[1.0]]), np.zeros(1))
     ode = build_modified_ode(OptimizerSpec.heavy_ball(1e-2, 0.5), loss)
-    assert ode.G2(np.array([1.0]))[0] == pytest.approx(-6.0, abs=1e-12)
+    assert ode.field(np.array([1.0]))[1][0] == pytest.approx(-6.0, abs=1e-12)
 
 
 def test_analytic_vs_fd_jacobian(rng):
@@ -54,7 +61,7 @@ def test_analytic_vs_fd_jacobian(rng):
         ode_a = build_modified_ode(spec, loss)
         ode_f = fd_modified_ode(spec, loss)
         theta = rng.standard_normal(4)
-        assert rel_linf(ode_a.G2(theta), ode_f.G2(theta)) <= 1e-6
+        assert rel_linf(ode_a.field(theta)[1], ode_f.field(theta)[1]) <= 1e-6
 
 
 def test_fused_field_matches_unfused_terms(rng):
@@ -68,8 +75,9 @@ def test_fused_field_matches_unfused_terms(rng):
         theta = rng.standard_normal(4)
         F, jac_F_F = form.limit_jvp(loss, theta, loss.grad(theta), form.limit_scales)
         G2 = -(correction_closed(spec, loss, theta, None).vector / h + 0.5 * jac_F_F)
-        assert rel_linf(ode.G1(theta), -F) == 0.0
-        assert rel_linf(ode.G2(theta), G2) <= 1e-14
+        g1, g2 = ode.field(theta)
+        assert rel_linf(g1, -F) == 0.0
+        assert rel_linf(g2, G2) <= 1e-14
         assert rel_linf(ode.rhs(theta), -F + h * G2) <= 1e-14
 
 
@@ -92,7 +100,7 @@ def test_rk4_matches_exact_linear_flow(rng):
     theta0 = rng.standard_normal(3)
     h, T = 1e-2, 1.0
     ode = ModifiedODE(field=lambda th: (-(th @ A - b), np.zeros(3)), h=h)
-    flow = integrate_rk4(ode, theta0, T, dt=h / 8)
+    flow = integrate_rk4(rk4_config(theta0, T, h), loss, ode, dt_ratio=8).iterates
     w, V = np.linalg.eigh(A)
     fixed_point = np.linalg.solve(A, b)
     for n in (10, 50, 100):
@@ -105,13 +113,14 @@ def test_rk4_self_consistency_and_guards(rng):
     loss = make_quadratic(random_spd(3, rng), rng.standard_normal(3))
     spec = OptimizerSpec.heavy_ball(1e-2, 0.5)
     ode = build_modified_ode(spec, loss)
-    theta0 = rng.standard_normal(3)
-    end_a = integrate_rk4(ode, theta0, 0.5, dt=1e-2 / 8)[-1]
-    end_b = integrate_rk4(ode, theta0, 0.5, dt=1e-2 / 16)[-1]
+    cfg = rk4_config(rng.standard_normal(3), 0.5, spec.h)
+    end_a = integrate_rk4(cfg, loss, ode, dt_ratio=8).iterates[-1]
+    end_b = integrate_rk4(cfg, loss, ode, dt_ratio=16).iterates[-1]
     assert np.max(np.abs(end_a - end_b)) <= 1e-10
-    assert integrate_rk4(ode, theta0, 0.0).shape == (1, 3)  # T=0: initial point
+    short = rk4_config(cfg.theta0, 0.5 * spec.h, spec.h)  # T < h: initial point
+    assert integrate_rk4(short, loss, ode).iterates.shape == (1, 3)
     with pytest.raises(ValueError, match="dt"):
-        integrate_rk4(ode, theta0, 0.5, dt=1e-2 / 2)
+        integrate_rk4(cfg, loss, ode, dt_ratio=2)
 
 
 def test_ode_slope_two_with_g2_one_without():
