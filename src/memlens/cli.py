@@ -405,7 +405,7 @@ def cmd_sweep(resolved, out_dir):
         write_csv(out_dir / f"{stem}.csv", ["h", "max_linf_error", "status"],
                   _report_rows(report))
         extra["reports"][tag] = {"slope": report.slope, "r2": report.r2,
-                                 "status": report.status}
+                                 "status": report.status, **report.correction}
         lo, hi = _slope_gates(resolved, *(1.7, 2.3) if tag == "second" else (0.8, 1.3))
         gates += _fit_gates(report, f"slope-{tag}", f"r2-{tag}", lo, hi,
                             resolved["experiment"]["r2_min"])
@@ -429,7 +429,7 @@ def cmd_defect(resolved, out_dir):
     gates = _fit_gates(report, "defect-slope", "defect-r2", lo, hi,
                        resolved["experiment"]["r2_min"])
     return _finish(out_dir, stem, resolved, gates,
-                   {"slope": report.slope, "r2": report.r2})
+                   {"slope": report.slope, "r2": report.r2, **report.correction})
 
 
 def cmd_closeness(resolved, out_dir):
@@ -480,7 +480,7 @@ def cmd_ode_compare(resolved, out_dir):
     lo, hi = _slope_gates(resolved, *(1.7, 2.3) if order == 2 else (0.8, 1.3))
     gates = _fit_gates(report, "ode-slope", "ode-r2", lo, hi, exp["r2_min"])
     return _finish(out_dir, stem, resolved, gates,
-                   {"slope": report.slope, "r2": report.r2})
+                   {"slope": report.slope, "r2": report.r2, **report.correction})
 
 
 def cmd_minibatch_corr(resolved, out_dir):

@@ -8,12 +8,14 @@ Three evaluation routes are provided and cross-checked:
   * contraction  - the same sum reassociated through the momentum slots so
                    each slot costs one Jacobian-vector product, with every
                    inner update in one array evaluation;
-  * closed forms - O(1) formulas: the heavy-ball bracket, the adaptive form
-                   (AdamW and NAdamW) and the sign-momentum form, at finite n
-                   with bias-corrected averages and in the large-n limit, and
-                   for every other kind the large-n limit of the contraction,
+  * closed forms - O(1) formulas: the bracket of the heavy ball and
+                   Nesterov at every n, and the adaptive form (AdamW and
+                   NAdamW) and the sign-momentum form, at finite n with
+                   bias-corrected averages and in the large-n limit, and for
+                   every other kind the large-n limit of the contraction,
                    derived from the momentum form.  correction_closed falls
-                   back to the contraction only at finite n.
+                   back to the contraction only at finite n for AdamW,
+                   NAdamW and Lion-K without bias correction.
 """
 from __future__ import annotations
 
@@ -133,37 +135,50 @@ def _ema_lag_coefficient(beta: float, n: Optional[int]) -> float:
     return beta / (1.0 - beta) - (n + 1) * beta ** (n + 1) / (1.0 - beta ** (n + 1))
 
 
-def heavyball_bracket(beta: float, n: Optional[int]) -> float:
-    """Finite-n attenuation of the heavy-ball correction; 1 in the limit.
+def heavyball_bracket(beta: float, n: Optional[int], shift: int = 1) -> float:
+    """Finite-n attenuation of the heavy-ball (shift 1) or Nesterov (shift 2)
+    correction, whose contracted update at step s is
+    (1-beta^(s+shift))/(1-beta) * grad; 1 in the limit.
 
-    Algebraically 1 - tail with tail = (2n+1) beta^n (1-beta) + beta^(2n+1),
-    which costs O(1) and loses at most one bit while tail <= 1/2.  Above that
-    it is evaluated as the cancellation-free positive sum
-    (1-beta) * sum_i beta^(n-i) (1-beta^i)^2 (pair the geometric terms around
-    beta^n), whose n is then at most about 2.3/(1-beta).  At n = 1 this is
-    (1-beta)^3 exactly, so the n = 1 coefficient reduces to beta."""
+    Algebraically 1 - tail with tail = (2n+1) beta^n (1-beta) + beta^(2n+1)
+    for the heavy ball and (n+1) (1-beta)(1+beta) beta^n + beta^(2n+2) for
+    Nesterov (factored: 1-beta*beta rounds worse near beta = 1).  That costs
+    O(1) and loses at most one bit while tail <= 1/2.  Above that it is
+    evaluated as the cancellation-free positive sum
+    (1-beta) * sum_i beta^(n-i) (1-beta^i)(1-beta^(i+shift-1)) (pair the
+    geometric terms around beta^n), whose n is then at most about
+    2.3/(1-beta).  At n = 1 this is (1-beta)^3 (1+beta)^(shift-1) exactly, so
+    the n = 1 heavy-ball coefficient reduces to beta."""
     if n is None:
         return 1.0
     if n <= 0:
         return 0.0
-    tail = (2 * n + 1) * (1.0 - beta) * beta ** n + beta ** (2 * n + 1)
+    if shift == 1:
+        tail = (2 * n + 1) * (1.0 - beta) * beta ** n + beta ** (2 * n + 1)
+    else:
+        tail = (n + 1) * (1.0 - beta) * (1.0 + beta) * beta ** n + beta ** (2 * n + 2)
     if tail <= 0.5:
         return 1.0 - tail
     i = np.arange(1, n + 1, dtype=np.float64)
-    terms = beta ** (n - i) * (1.0 - beta ** i) ** 2
+    terms = beta ** (n - i) * ((1.0 - beta ** i) * (1.0 - beta ** (i + shift - 1)))
     return float((1.0 - beta) * np.sum(terms))
 
 
 def correction_closed_heavyball(spec: OptimizerSpec, loss: LossModel,
                                 theta: ParamVector, n: Optional[int] = None) -> CorrectionTerm:
-    """h * beta * bracket(n) / (1-beta)^3 * hvp(theta, grad): one hvp."""
+    """h * beta * bracket(n) / (1-beta)^3 * hvp(theta, grad): one hvp.  For
+    Nesterov the bracket takes shift 2 and the coefficient one more factor
+    beta, the weight of its momentum in the output."""
     g = loss.grad(theta)
     if n == 0:
         # empty sum; the bracket is zero only up to rounding
         return CorrectionTerm(np.zeros(np.shape(theta)), 0, Method.CLOSED_FORM_FINITE_N,
                               grad=g)
     beta = spec.beta1
-    coef = spec.h * beta * heavyball_bracket(beta, n) / (1.0 - beta) ** 3
+    if spec.kind is Kind.NESTEROV:
+        coef = spec.h * beta * beta * heavyball_bracket(beta, n, 2) / (1.0 - beta) ** 3
+    else:
+        coef = spec.h * beta * heavyball_bracket(beta, n) / (1.0 - beta) ** 3
     vec = coef * loss.hvp(theta, g)
     method = Method.CLOSED_FORM_ASYMPTOTIC if n is None else Method.CLOSED_FORM_FINITE_N
     return CorrectionTerm(vec, n, method, grad=g)
@@ -229,12 +244,13 @@ def correction_limit(spec: OptimizerSpec, loss: LossModel,
 def correction_closed(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
                       n: Optional[int] = None) -> CorrectionTerm:
     """Best available closed form.  In the large-n limit every kind has one;
-    at finite n, where none covers (kind, bias correction), it falls back to
-    the O(n) contraction evaluation, flagged in meta.  Every route works
-    row-wise over a (B, d) stack of points whose spec.h is a (B, 1) column,
-    and none re-validates theta: its callers hold checked iterates."""
+    at finite n the adaptive and sign-momentum kinds without bias correction
+    have none and fall back to the O(n) contraction evaluation, flagged in
+    meta.  Every route works row-wise over a (B, d) stack of points whose
+    spec.h is a (B, 1) column, and none re-validates theta: its callers hold
+    checked iterates."""
     kind = spec.kind
-    if kind is Kind.HEAVY_BALL:
+    if kind in (Kind.HEAVY_BALL, Kind.NESTEROV):
         return correction_closed_heavyball(spec, loss, theta, n)
     if kind is Kind.LION_K and (n is None or spec.bias_correction):
         return correction_closed_lionk(spec, loss, theta, n)

@@ -5,7 +5,7 @@ slope fitting with a rounding-noise floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +36,10 @@ class SweepReport:
     slope: float
     r2: float
     status: str  # "ok" | "degenerate"
+    # the correction_method of the memoryless runs measured, and their
+    # correction_fallback when one was taken; empty when no second-order
+    # memoryless step ran
+    correction: dict = field(default_factory=dict)
 
     def fitted_points(self) -> List[SweepPoint]:
         return [p for p in self.points if p.valid and p.metric > ERROR_FLOOR]
@@ -57,10 +61,15 @@ def fit_loglog(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, flo
     return slope, intercept, r2
 
 
-def _assemble_report(points: List[SweepPoint]) -> SweepReport:
+def _assemble_report(points: List[SweepPoint], runs: List[Trajectory]) -> SweepReport:
+    """Fits the points; runs are the discrete runs they measure, one stack
+    sharing one meta, which names the correction its first step took."""
     nan = float("nan")
+    meta = runs[0].meta
+    correction = {k: meta[k] for k in ("correction_method", "correction_fallback")
+                  if meta.get(k) is not None}
     report = SweepReport(points=sorted(points, key=lambda p: -p.h), slope=nan,
-                         r2=nan, status="degenerate")
+                         r2=nan, status="degenerate", correction=correction)
     usable = [(p.h, p.metric) for p in report.fitted_points()]
     if len(usable) >= 3:
         report.slope, _, report.r2 = fit_loglog(usable)
@@ -110,7 +119,7 @@ def global_error_sweep(config: RunConfig, h_grid: Sequence[float], kind: Memoryl
     if memoryful is None:
         memoryful = run_memoryful(config, loss=loss, hs=h_grid)
     approx = run_memoryless(config, kind, loss=loss, hs=h_grid)
-    return _assemble_report(_gap_points(h_grid, memoryful, approx))
+    return _assemble_report(_gap_points(h_grid, memoryful, approx), approx)
 
 
 def defect_sweep(config: RunConfig, h_grid: Sequence[float], n_max: Optional[int] = None):
@@ -131,7 +140,7 @@ def defect_sweep(config: RunConfig, h_grid: Sequence[float], n_max: Optional[int
             continue
         details[h] = next(defects)
         points.append(SweepPoint(h=h, metric=float(np.max(details[h]))))
-    return _assemble_report(points), details
+    return _assemble_report(points, runs), details
 
 
 def trajectory_closeness(config: RunConfig, h_list: Sequence[float]) -> dict:

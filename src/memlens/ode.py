@@ -130,4 +130,4 @@ def compare_discrete_vs_ode(config: RunConfig, h_grid: Sequence[float],
         raise ValueError(f"unknown target: {target!r}")
     odesys = build_modified_ode(stack_spec(config.optimizer, grid), loss)
     flows = integrate_rk4(config, loss, odesys, dt_ratio, include_g2)
-    return _assemble_report(_gap_points(grid, discrete, flows, n_burn))
+    return _assemble_report(_gap_points(grid, discrete, flows, n_burn), discrete)

@@ -7,9 +7,11 @@ Each test enforces one criterion at its stated tolerance and prints a
      (r^2 >= 0.98), first-order control in [0.8, 1.3]; <= 10 s
   2  one-step defect order: sup-defect slope in [2.7, 3.3]; <= 10 s
   3  closed-form vs brute-force corrections, five kinds, n in {1,5,50,200},
-     20 points x {quadratic, quartic}: relative gap <= 1e-6; <= 30 s
+     20 points x {quadratic, quartic}: relative gap <= 1e-6 (heavy ball,
+     Nesterov and the bias-corrected adaptive kinds by their O(1) closed
+     forms, unbiased Lion-K by the contraction); <= 30 s
   4  finite-n heavy-ball bracket at n = 1 equals beta exactly; brute-force
-     agreement <= 1e-12
+     agreement <= 1e-12 for the heavy ball and Nesterov at n = 1
   5  equal-momentum adaptive and sign-momentum corrections agree <= 1e-12
      at 50 points for beta in {0.5, 0.9, 0.99}
   6  modified-equation G2 for the heavy ball <= 1e-10 against its closed
@@ -115,8 +117,7 @@ def test_criterion_3_closed_vs_bruteforce():
     elapsed = time.perf_counter() - t0
     report("3 closed vs brute", worst <= 1e-6, f"max relative gap {worst:.2e}")
 
-    # the large-n forms of Nesterov (whose finite-n evaluation is the
-    # contraction, a brute-force reassociation) and NAdamW
+    # the large-n forms of Nesterov and NAdamW
     worst_asym = 0.0
     for spec in (specs[1], specs[3]):
         for _ in range(5):
@@ -143,6 +144,14 @@ def test_criterion_4_heavyball_lemma_spot_value():
     hand = h * beta * a * a * theta
     ok = abs(closed - hand) <= 1e-12 * abs(hand) and abs(closed - brute) <= 1e-12 * abs(hand)
     report("4 n=1 value vs brute force", ok,
+           f"hand={hand!r} closed={closed!r} brute={brute!r}")
+    # Nesterov: the k=1, s=0 term gives h*beta^2*(1+beta)*a^2*theta
+    spec = OptimizerSpec.nesterov(h, beta)
+    closed = correction_closed(spec, loss, np.array([theta]), 1).vector[0]
+    brute = correction_bruteforce(spec, loss, np.array([theta]), 1).vector[0]
+    hand = h * beta * beta * (1 + beta) * a * a * theta
+    ok = abs(closed - hand) <= 1e-12 * abs(hand) and abs(closed - brute) <= 1e-12 * abs(hand)
+    report("4 Nesterov n=1 value vs brute force", ok,
            f"hand={hand!r} closed={closed!r} brute={brute!r}")
 
 

@@ -189,6 +189,26 @@ def test_defect_command_summary_row(sweep_cfg, tmp_path):
     assert lines[-1].startswith("slope,")
 
 
+def test_summaries_record_the_correction_route(sweep_cfg, tmp_path):
+    # the second-order runs' correction method, and the fallback when one was
+    # taken; first-order runs take none
+    out = tmp_path / "nesterov"
+    assert run_cli("sweep", "--config", sweep_cfg, "--out-dir", out,
+                   "--set", "optimizer.kind=nesterov", "--set", "optimizer.beta1=0.5") == 0
+    reports = json.loads(next(out.glob("sweep_both_*_summary.json")).read_text())["reports"]
+    assert reports["second"]["correction_method"] == "closed-finite-n"
+    assert "correction_fallback" not in reports["second"]
+    assert "correction_method" not in reports["first"]
+    out = tmp_path / "adamw"
+    assert run_cli("defect", "--config", sweep_cfg, "--out-dir", out,
+                   "--set", "optimizer.kind=adamw", "--set", "optimizer.beta2=0.95",
+                   "--set", "optimizer.eps=1e-3",
+                   "--set", "optimizer.bias_correction=false") == 0
+    summary = json.loads(next(out.glob("defect_*_summary.json")).read_text())
+    assert summary["correction_method"] == "contraction"
+    assert "without bias correction" in summary["correction_fallback"]
+
+
 def test_ode_compare_command(sweep_cfg, tmp_path):
     out = tmp_path / "out"
     rc = run_cli("ode-compare", "--config", sweep_cfg, "--out-dir", out,

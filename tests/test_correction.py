@@ -54,6 +54,21 @@ def test_heavyball_bracket_matches_positive_sum(beta):
     assert np.all(np.abs(got - ref) <= 4 * ulp)
 
 
+def _nesterov_bracket_positive_sum(beta, n):
+    s = np.arange(n, dtype=np.float64)
+    terms = beta ** (n - 1 - s) * (1.0 - beta ** (s + 1)) * (1.0 - beta ** (s + 2))
+    return float((1.0 - beta) * np.sum(terms))
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.9, 0.99, 0.999])
+def test_nesterov_bracket_matches_positive_sum(beta):
+    ns = list(range(1, 2500)) + list(range(2500, 20000, 97))
+    got = np.array([heavyball_bracket(beta, n, 2) for n in ns])
+    ref = np.array([_nesterov_bracket_positive_sum(beta, n) for n in ns])
+    ulp = np.spacing(np.maximum(got, ref))
+    assert np.all(np.abs(got - ref) <= 4 * ulp)
+
+
 def test_heavyball_asymptotic_spec_value():
     # beta=0.5, h=0.01, quadratic A=1 (d=1), theta=1: 0.01*0.5/(2*0.125)*2*1 = 0.04
     loss = make_quadratic(np.array([[1.0]]), np.zeros(1))
@@ -268,14 +283,18 @@ def test_fallbacks_flagged(quad4, rng):
     theta = rng.standard_normal(4)
     ne = correction_closed(OptimizerSpec.nesterov(1e-3, 0.8), quad4, theta, 5)
     na = correction_closed(OptimizerSpec.nadamw(1e-3, 0.8, 0.9, eps=1e-4), quad4, theta, 5)
+    adamw = OptimizerSpec.adamw(1e-3, 0.9, 0.95, lam=0.1, eps=1e-4, bias_correction=False)
+    ad = correction_closed(adamw, quad4, theta, 5)
     lion = OptimizerSpec.lion_k(1e-3, 0.9, 0.95, lam=0.1, eps=1e-4)
     li = correction_closed(lion, quad4, theta, 5)
-    assert "fallback" in ne.meta and "fallback" in li.meta
-    assert na.method is Method.CLOSED_FORM_FINITE_N and "fallback" not in na.meta
+    assert "fallback" in ad.meta and "fallback" in li.meta
+    assert ad.method is Method.CONTRACTION
+    for term in (ne, na):
+        assert term.method is Method.CLOSED_FORM_FINITE_N and "fallback" not in term.meta
     with pytest.raises(ValueError, match="bias"):
         correction_closed_lionk(lion, quad4, theta, 5)
-    assert correction_closed(OptimizerSpec.nesterov(1e-3, 0.8), quad4, theta).method \
-        is Method.CLOSED_FORM_ASYMPTOTIC
+    for spec in (OptimizerSpec.nesterov(1e-3, 0.8), adamw):
+        assert correction_closed(spec, quad4, theta).method is Method.CLOSED_FORM_ASYMPTOTIC
 
 
 @pytest.mark.parametrize("spec", limit_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
-from memlens import (OptimizerSpec, RunConfig, linf_distance, one_step_defect,
-                     run_memoryful, run_memoryless, step_memoryless)
+from memlens import (OptimizerSpec, RunConfig, linf_distance, loss_from_config,
+                     one_step_defect, run_memoryful, run_memoryless, step_memoryless)
+from memlens import correction
 from memlens.correction import correction_closed, correction_closed_lionk
 from memlens.memoryful import momentum_form
 from memlens.memoryless import CorrectionVariant, MemorylessKind, Order
@@ -123,13 +126,35 @@ def test_lion_correction_scales_linearly_in_eps(quad4, rng):
 
 
 def test_fallback_flag_in_run_metadata():
-    spec = OptimizerSpec.nesterov(1e-2, 0.8)
+    spec = OptimizerSpec.adamw(1e-2, 0.9, 0.95, lam=0.1, eps=1e-4, bias_correction=False)
     traj = run_memoryless(quad_config(spec, T=0.05), MemorylessKind.second())
     assert "correction_fallback" in traj.meta
-    traj_hb = run_memoryless(quad_config(OptimizerSpec.heavy_ball(1e-2, 0.8), T=0.05),
-                             MemorylessKind.second())
-    assert "correction_fallback" not in traj_hb.meta
-    assert traj_hb.meta["correction_method"] == "closed-finite-n"
+    assert traj.meta["correction_method"] == "contraction"
+    for spec in (OptimizerSpec.heavy_ball(1e-2, 0.8), OptimizerSpec.nesterov(1e-2, 0.8)):
+        traj = run_memoryless(quad_config(spec, T=0.05), MemorylessKind.second())
+        assert "correction_fallback" not in traj.meta
+        assert traj.meta["correction_method"] == "closed-finite-n"
+
+
+def test_nesterov_finite_n_run_is_linear_in_steps(monkeypatch):
+    # 10,000 second-order finite-n steps: one grad and one hvp each (the n = 0
+    # correction is the empty sum, no hvp), never the O(n) contraction, and
+    # within 3 s (about 0.4 s on a 2-vCPU host; the contraction took 19 s)
+    def no_contraction(*args):
+        raise AssertionError("the contraction route ran")
+
+    monkeypatch.setattr(correction, "correction_contraction", no_contraction)
+    N = 10_000
+    cfg = quad_config(OptimizerSpec.nesterov(1e-3, 0.9), d=10, T=N * 1e-3)
+    loss, counts = counting_loss(loss_from_config(cfg.loss_id, cfg.loss_params,
+                                                  cfg.dimension, cfg.seed))
+    t0 = time.perf_counter()
+    traj = run_memoryless(cfg, MemorylessKind.second(), loss=loss)
+    elapsed = time.perf_counter() - t0
+    assert len(traj) - 1 == N and traj.domain_exit is None
+    assert traj.meta["correction_method"] == "closed-finite-n"
+    assert counts["grad"] == N and counts["hvp"] == N - 1 and counts["value"] == 0
+    assert elapsed <= 3.0, f"{elapsed:.2f} s"
 
 
 def test_asymptotic_variant_is_autonomous(quad4, rng):
