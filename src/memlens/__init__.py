@@ -5,8 +5,7 @@ and permutation-averaged mini-batch corrections, at desk scale."""
 from .core import (Kind, KSpec, OptimizerSpec, RunConfig,
                    Trajectory, linf_distance, rng, smoothed_one_norm, softsign)
 from .correction import (CorrectionTerm, Method, correction_bruteforce,
-                         correction_closed, correction_closed_adamw,
-                         correction_closed_heavyball, correction_closed_lionk,
+                         correction_closed, correction_closed_heavyball,
                          correction_contraction, modified_loss_heavyball)
 from .harness import (SweepReport, defect_sweep, fit_loglog, global_error_sweep,
                       n_burn_steps, ordering_fraction, trajectory_closeness)

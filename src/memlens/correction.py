@@ -8,14 +8,13 @@ Three evaluation routes are provided and cross-checked:
   * contraction  - the same sum reassociated through the momentum slots so
                    each slot costs one Jacobian-vector product, with every
                    inner update in one array evaluation;
-  * closed forms - O(1) formulas: the bracket of the heavy ball and
-                   Nesterov at every n, and the adaptive form (AdamW and
-                   NAdamW) and the sign-momentum form, at finite n with
-                   bias-corrected averages and in the large-n limit, and for
-                   every other kind the large-n limit of the contraction,
-                   derived from the momentum form.  correction_closed falls
-                   back to the contraction only at finite n for AdamW,
-                   NAdamW and Lion-K without bias correction.
+  * closed form  - correction_closed, which takes one of three routes: the
+                   O(1) bracket of the heavy ball and Nesterov at finite n;
+                   the lag-weight route, derived from the momentum form, in
+                   the large-n limit and at every n when the contracted
+                   update does not depend on n; and the contraction as the
+                   fallback, taken only at finite n by AdamW, NAdamW and
+                   Lion-K without bias correction.
 """
 from __future__ import annotations
 
@@ -43,10 +42,10 @@ class CorrectionTerm:
     n: Optional[int]  # None means the large-n limit
     method: Method
     meta: dict = field(default_factory=dict)
-    # loss.grad(theta) as the route evaluated it, so a memoryless step pays no
-    # second grad (every route of correction_closed sets it; the brute-force
-    # reference does not)
-    grad: Optional[np.ndarray] = None
+    # the contracted update F^(n) at theta from the grad the route evaluated,
+    # so a memoryless step pays no second grad (every route of
+    # correction_closed sets it; the brute-force reference does not)
+    update: Optional[np.ndarray] = None
 
 
 def _prefix_contracted(form: MomentumForm, theta: ParamVector, g: ParamVector,
@@ -104,15 +103,16 @@ def correction_contraction(spec: OptimizerSpec, loss: LossModel,
     Row-wise over a (B, d) stack whose spec.h is a (B, 1) column."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    form = momentum_form(spec)
     g = loss.grad(theta)
+    m_top = form.contracted_momenta(theta, g, n)
+    update = form.output(m_top)
     zeros = np.zeros(np.shape(theta))
     if n == 0:
-        return CorrectionTerm(zeros, 0, Method.CONTRACTION, grad=g)
-    form = momentum_form(spec)
+        return CorrectionTerm(zeros, 0, Method.CONTRACTION, update=update)
     P = _prefix_contracted(form, theta, g, n)
     # V[k-1] = P[n] - P[n-k] = sum of contracted F^(s) over the k steps before n
     V = P[n][None] - P[:n][::-1]
-    m_top = form.contracted_momenta(theta, g, n)
     us = []
     for l, slot in enumerate(form.slots):
         if slot.beta == 0.0:
@@ -122,23 +122,13 @@ def correction_contraction(spec: OptimizerSpec, loss: LossModel,
         w_vec = (weights @ V.reshape(n, -1)).reshape(np.shape(theta))
         us.append(slot.bias(n) * form.feature_jvp(loss, theta, g, l, w_vec))
     c = form.output_jac_apply(m_top, us)
-    return CorrectionTerm(spec.h * c, n, Method.CONTRACTION, grad=g)
+    return CorrectionTerm(spec.h * c, n, Method.CONTRACTION, update=update)
 
 
-def _ema_lag_coefficient(beta: float, n: Optional[int]) -> float:
-    """bias(n) * sum_{k=1}^{n} k beta^k for a bias-corrected average:
-    beta/(1-beta) - (n+1) beta^(n+1)/(1-beta^(n+1)); limit beta/(1-beta)."""
-    if beta == 0.0:
-        return 0.0
-    if n is None:
-        return beta / (1.0 - beta)
-    return beta / (1.0 - beta) - (n + 1) * beta ** (n + 1) / (1.0 - beta ** (n + 1))
-
-
-def heavyball_bracket(beta: float, n: Optional[int], shift: int = 1) -> float:
+def heavyball_bracket(beta: float, n: int, shift: int = 1) -> float:
     """Finite-n attenuation of the heavy-ball (shift 1) or Nesterov (shift 2)
     correction, whose contracted update at step s is
-    (1-beta^(s+shift))/(1-beta) * grad; 1 in the limit.
+    (1-beta^(s+shift))/(1-beta) * grad.
 
     Algebraically 1 - tail with tail = (2n+1) beta^n (1-beta) + beta^(2n+1)
     for the heavy ball and (n+1) (1-beta)(1+beta) beta^n + beta^(2n+2) for
@@ -149,8 +139,6 @@ def heavyball_bracket(beta: float, n: Optional[int], shift: int = 1) -> float:
     geometric terms around beta^n), whose n is then at most about
     2.3/(1-beta).  At n = 1 this is (1-beta)^3 (1+beta)^(shift-1) exactly, so
     the n = 1 heavy-ball coefficient reduces to beta."""
-    if n is None:
-        return 1.0
     if n <= 0:
         return 0.0
     if shift == 1:
@@ -165,102 +153,47 @@ def heavyball_bracket(beta: float, n: Optional[int], shift: int = 1) -> float:
 
 
 def correction_closed_heavyball(spec: OptimizerSpec, loss: LossModel,
-                                theta: ParamVector, n: Optional[int] = None) -> CorrectionTerm:
-    """h * beta * bracket(n) / (1-beta)^3 * hvp(theta, grad): one hvp.  For
+                                theta: ParamVector, n: int) -> CorrectionTerm:
+    """Finite-n heavy-ball or Nesterov correction
+    h * beta * bracket(n) / (1-beta)^3 * hvp(theta, grad): one hvp.  For
     Nesterov the bracket takes shift 2 and the coefficient one more factor
     beta, the weight of its momentum in the output."""
     g = loss.grad(theta)
+    update = momentum_form(spec).contracted_F(loss, theta, n, g)
     if n == 0:
         # empty sum; the bracket is zero only up to rounding
         return CorrectionTerm(np.zeros(np.shape(theta)), 0, Method.CLOSED_FORM_FINITE_N,
-                              grad=g)
+                              update=update)
     beta = spec.beta1
     if spec.kind is Kind.NESTEROV:
         coef = spec.h * beta * beta * heavyball_bracket(beta, n, 2) / (1.0 - beta) ** 3
     else:
         coef = spec.h * beta * heavyball_bracket(beta, n) / (1.0 - beta) ** 3
-    vec = coef * loss.hvp(theta, g)
-    method = Method.CLOSED_FORM_ASYMPTOTIC if n is None else Method.CLOSED_FORM_FINITE_N
-    return CorrectionTerm(vec, n, method, grad=g)
-
-
-def correction_closed_adamw(spec: OptimizerSpec, loss: LossModel,
-                            theta: ParamVector, n: Optional[int] = None) -> CorrectionTerm:
-    """Componentwise closed form for the adaptive kinds; two momentum lag
-    coefficients, one hvp.  With bias-corrected averages every inner
-    contracted update equals F, so the form is exact at every n; NAdamW
-    weights the first average's lag by beta1, the share it has in the
-    numerator."""
-    if not spec.bias_correction:
-        raise ValueError("closed form assumes bias-corrected averages")
-    eps = spec.eps
-    g = loss.grad(theta)
-    den2 = g * g + eps
-    den = np.sqrt(den2)
-    direction = loss.hvp(theta, g / den + spec.lam * theta)
-    a1 = _ema_lag_coefficient(spec.beta1, n)
-    if spec.kind is Kind.NADAMW:
-        a1 = spec.beta1 * a1
-    a2 = _ema_lag_coefficient(spec.beta2, n)
-    vec = spec.h * (a1 - a2 + eps * a2 / den2) * direction / den
-    method = Method.CLOSED_FORM_ASYMPTOTIC if n is None else Method.CLOSED_FORM_FINITE_N
-    return CorrectionTerm(vec, n, method, grad=g)
-
-
-def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
-                            theta: ParamVector, n: Optional[int] = None) -> CorrectionTerm:
-    """Closed form for the sign-momentum family, in the large-n limit and
-    (with bias-corrected averages) at finite n:
-    -h * coef * K''(-grad) * hvp(theta, K'(-grad) - lam*theta).  Without bias
-    correction there is no finite-n closed form; correction_closed falls back
-    to the contraction route."""
-    if n is not None and not spec.bias_correction:
-        raise ValueError("finite-n closed form assumes bias-corrected averages")
-    rho1, rho2 = spec.beta1, spec.beta2
-    if n is None:
-        coef = rho1 / (1.0 - rho2)
-        method = Method.CLOSED_FORM_ASYMPTOTIC
-    else:
-        coef = rho1 / (1.0 - rho2) - (n + 1) * rho2 ** n * rho1 / (1.0 - rho2 ** (n + 1))
-        method = Method.CLOSED_FORM_FINITE_N
-    form = momentum_form(spec)
-    g = loss.grad(theta)
-    kg = form.kgrad(-g)
-    vec = -spec.h * coef * form.khess_diag(-g) * loss.hvp(theta, kg - spec.lam * theta)
-    return CorrectionTerm(vec, n, method, grad=g)
-
-
-def correction_limit(spec: OptimizerSpec, loss: LossModel,
-                     theta: ParamVector) -> CorrectionTerm:
-    """Large-n limit of the slot contraction, derived from the momentum form:
-    every inner update tends to the large-n contracted update F, so the lag-k
-    window sums to k F and sum_k k beta^k = beta/(1-beta)^2.  One hvp."""
-    form = momentum_form(spec)
-    g = loss.grad(theta)
-    vec = spec.h * form.limit_jvp(loss, theta, g, form.lag_scales)[1]
-    return CorrectionTerm(vec, None, Method.CLOSED_FORM_ASYMPTOTIC, grad=g)
+    return CorrectionTerm(coef * loss.hvp(theta, g), n, Method.CLOSED_FORM_FINITE_N,
+                          update=update)
 
 
 def correction_closed(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
                       n: Optional[int] = None) -> CorrectionTerm:
-    """Best available closed form.  In the large-n limit every kind has one;
-    at finite n the adaptive and sign-momentum kinds without bias correction
-    have none and fall back to the O(n) contraction evaluation, flagged in
-    meta.  Every route works row-wise over a (B, d) stack of points whose
-    spec.h is a (B, 1) column, and none re-validates theta: its callers hold
-    checked iterates."""
-    kind = spec.kind
-    if kind in (Kind.HEAVY_BALL, Kind.NESTEROV):
+    """Best available closed form, by one of three routes:
+      * the heavy-ball/Nesterov bracket at finite n; one hvp;
+      * lag weights - in the large-n limit, and at finite n when the form's
+        contracted update does not depend on n, every inner update is the
+        same F, so the lag-k window sums to k F and the correction is
+        h * limit_jvp with per-slot weights lag_weights(n); one hvp;
+      * otherwise the O(n) contraction, flagged in meta as a fallback.
+    Every route works row-wise over a (B, d) stack of points whose spec.h is
+    a (B, 1) column, and none re-validates theta: its callers hold checked
+    iterates."""
+    if n is not None and spec.kind in (Kind.HEAVY_BALL, Kind.NESTEROV):
         return correction_closed_heavyball(spec, loss, theta, n)
-    if kind is Kind.LION_K and (n is None or spec.bias_correction):
-        return correction_closed_lionk(spec, loss, theta, n)
-    if kind in (Kind.ADAMW, Kind.NADAMW) and spec.bias_correction:
-        return correction_closed_adamw(spec, loss, theta, n)
-    if n is None:
-        return correction_limit(spec, loss, theta)
+    form = momentum_form(spec)
+    if n is None or form.n_independent:
+        F, jvp = form.limit_jvp(loss, theta, loss.grad(theta), form.lag_weights(n))
+        method = Method.CLOSED_FORM_ASYMPTOTIC if n is None else Method.CLOSED_FORM_FINITE_N
+        return CorrectionTerm(spec.h * jvp, n, method, update=F)
     term = correction_contraction(spec, loss, theta, n)
-    unbiased = "" if spec.bias_correction else " without bias correction"
-    term.meta["fallback"] = f"no finite-n closed form for {kind.value}{unbiased}"
+    term.meta["fallback"] = f"no finite-n closed form for {spec.kind.value} without bias correction"
     return term
 
 

@@ -101,6 +101,10 @@ class MomentumForm:
         # bias * sum_k k beta^k of each slot in the large-n limit: the lag
         # weights of the large-n memory correction
         self.lag_scales = tuple(s.bias_limit * s.beta / (1.0 - s.beta) ** 2 for s in self.slots)
+        # whether the contracted update F^(n) is the same at every n: true when
+        # every slot with memory is bias-corrected, since its bias(n) then
+        # cancels its geometric sum
+        self.n_independent = all(s.bias_kind == "bc" for s in self.slots if s.beta > 0.0)
 
     # -- features ----------------------------------------------------------
 
@@ -145,18 +149,22 @@ class MomentumForm:
             return np.ones_like(x)
         return self.spec.eps / (x * x + self.spec.eps) ** 1.5
 
+    def numerator(self, x: Sequence) -> np.ndarray:
+        """The adaptive kinds' numerator, linear in the gradient slots: x_0 for
+        AdamW, beta1 x_0 + (1-beta1) x_3 for NAdamW."""
+        if self.spec.kind is Kind.ADAMW:
+            return x[0]
+        b1 = self.spec.beta1
+        return b1 * x[0] + (1.0 - b1) * x[3]
+
     def output(self, m: List[np.ndarray]) -> np.ndarray:
         k = self.spec.kind
         if k is Kind.HEAVY_BALL:
             return m[0]
         if k is Kind.NESTEROV:
             return m[0] + m[1]
-        if k is Kind.ADAMW:
-            return m[0] / np.sqrt(m[1] + self.spec.eps) + m[2]
-        if k is Kind.NADAMW:
-            b1 = self.spec.beta1
-            num = b1 * m[0] + (1.0 - b1) * m[3]
-            return num / np.sqrt(m[1] + self.spec.eps) + m[2]
+        if k in (Kind.ADAMW, Kind.NADAMW):
+            return self.numerator(m) / np.sqrt(m[1] + self.spec.eps) + m[2]
         return -self.kgrad(m[0] + m[1]) + m[2]
 
     def output_jac_apply(self, m: List[np.ndarray], us: List[np.ndarray]) -> np.ndarray:
@@ -166,15 +174,10 @@ class MomentumForm:
             return us[0]
         if k is Kind.NESTEROV:
             return us[0] + us[1]
-        if k is Kind.ADAMW:
+        if k in (Kind.ADAMW, Kind.NADAMW):
             den = np.sqrt(m[1] + self.spec.eps)
-            return us[0] / den - m[0] * us[1] / (2.0 * den ** 3) + us[2]
-        if k is Kind.NADAMW:
-            b1 = self.spec.beta1
-            den = np.sqrt(m[1] + self.spec.eps)
-            num = b1 * m[0] + (1.0 - b1) * m[3]
-            return (b1 * us[0] + (1.0 - b1) * us[3]) / den \
-                - num * us[1] / (2.0 * den ** 3) + us[2]
+            return self.numerator(us) / den \
+                - self.numerator(m) * us[1] / (2.0 * den ** 3) + us[2]
         x = m[0] + m[1]
         return -self.khess_diag(x) * (us[0] + us[1]) + us[2]
 
@@ -196,16 +199,45 @@ class MomentumForm:
             g = loss.grad(theta)
         return self.output(self.contracted_momenta(theta, g, n))
 
+    def lag_weights(self, n: Optional[int]) -> Tuple[float, ...]:
+        """bias_l(n) * sum_{k=1}^{n} k beta_l^k per slot, the weights of the
+        memory correction when every inner update is the same F; n None gives
+        lag_scales.  At finite n only for an n-independent form, whose slots
+        with memory are bias-corrected: such a slot's weight is
+        bias_value * (beta/(1-beta) - (n+1) beta^(n+1)/(1-beta^(n+1))), which,
+        unlike the expanded sum, does not cancel at small n."""
+        if n is None:
+            return self.lag_scales
+        if not self.n_independent:
+            raise ValueError("finite-n lag weights need an update that does not depend on n")
+        return tuple(0.0 if s.beta == 0.0 else s.bias_value * (
+            s.beta / (1.0 - s.beta) - (n + 1) * s.beta ** (n + 1) / (1.0 - s.beta ** (n + 1)))
+            for s in self.slots)
+
     def limit_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
                   scales: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
         """(F, sum_l (dQ/dm_l) scales_l J_l F) at the large-n momenta m, where
         F = Q(m) is the large-n contracted update and J_l the Jacobian of slot
         l's feature; one hvp serves every slot.  The second term is linear in
         scales; with scales = limit_scales it is the Jacobian of the large-n
-        contracted update applied to F."""
+        contracted update applied to F.
+
+        For the adaptive kinds the numerator and denominator terms are each
+        O(1) and cancel to O(eps / den^2) when their weights agree (equal
+        momentum parameters), so there the scalar weights are combined first:
+        with c = limit_scales, p = numerator and den^2 = m_1 + eps, the term
+        is hv ((p(scales) c_1 - scales_1 p(c)) g^2 + p(scales) eps) / den^3
+        + scales_2 F."""
         m = self.contracted_momenta(theta, g, None)
         F = self.output(m)
         hv = loss.hvp(theta, F)
+        if self.spec.kind in (Kind.ADAMW, Kind.NADAMW):
+            c, w = self.limit_scales, scales
+            pw = self.numerator(w)
+            den2 = m[1] + self.spec.eps
+            lead = pw * c[1] - w[1] * self.numerator(c)
+            return F, hv * (lead * (g * g) + pw * self.spec.eps) / (den2 * np.sqrt(den2)) \
+                + w[2] * F
         us = [c * self._feature_jvp(s.feature, g, F, hv) for c, s in zip(scales, self.slots)]
         return F, self.output_jac_apply(m, us)
 

@@ -50,12 +50,12 @@ def step_memoryless(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
                     n: int, kind: MemorylessKind, meta: Optional[dict] = None) -> ParamVector:
     """theta - h * [contracted update + correction] at step n, row-wise over a
     (B, d) stack whose spec.h is a (B, 1) column.  One grad per step: the
-    second-order step reuses the one its correction evaluated.  Given meta,
-    a second-order step records there the method of its correction and the
-    fallback it took, if any."""
-    form = momentum_form(spec)
+    second-order step takes the contracted update its correction evaluated.
+    Given meta, a second-order step records there the method of its
+    correction and the fallback it took, if any."""
     if kind.order is Order.FIRST_ORDER:
-        return theta - spec.h * form.contracted_F(loss, theta, n, loss.grad(theta))
+        return theta - spec.h * momentum_form(spec).contracted_F(loss, theta, n,
+                                                                 loss.grad(theta))
     if kind.variant is CorrectionVariant.ASYMPTOTIC:
         n = None  # large-n coefficients in both terms
     term = correction_closed(spec, loss, theta, n)
@@ -63,7 +63,7 @@ def step_memoryless(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
         meta["correction_method"] = term.method.value
         if "fallback" in term.meta:
             meta["correction_fallback"] = term.meta["fallback"]
-    return theta - spec.h * (form.contracted_F(loss, theta, n, term.grad) + term.vector)
+    return theta - spec.h * (term.update + term.vector)
 
 
 def run_memoryless(config: RunConfig, kind: MemorylessKind,

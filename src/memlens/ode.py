@@ -93,8 +93,7 @@ def integrate_rk4(config: RunConfig, loss: LossModel, odesys: ModifiedODE,
 def gap_order(spec: OptimizerSpec, target: str) -> int:
     """Order in h of compare_discrete_vs_ode's gap for target: 2, or 1 for an
     offset target whose contracted update depends on n (see there)."""
-    slots = momentum_form(spec).slots
-    if target == ODE_TARGETS[0] or all(s.bias_kind == "bc" for s in slots if s.beta > 0.0):
+    if target == ODE_TARGETS[0] or momentum_form(spec).n_independent:
         return 2
     return 1
 

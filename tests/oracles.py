@@ -1,6 +1,7 @@
 """Independent cross-check implementations that the tests compare memlens
 against: the history engine that sums over every past iterate, hand-written
-componentwise memoryless steps, a literal decaying double sum, the
+componentwise memoryless steps, the hand-derived closed-form corrections of
+the adaptive and sign-momentum kinds, a literal decaying double sum, the
 equal-momentum identity of the adaptive and sign-momentum corrections, the
 large-n mean drift of the mini-batch correction and its per-ordering
 evaluation, and a modified-equation field built from central differences.
@@ -12,7 +13,7 @@ import numpy as np
 
 from memlens.core import (Kind, OptimizerSpec, ParamVector, RunConfig, Trajectory,
                           as_param_vector, linf_distance, softsign)
-from memlens.correction import correction_closed, correction_closed_adamw, correction_closed_lionk
+from memlens.correction import correction_closed
 from memlens.losses import LossModel, MiniBatchFamily, loss_from_config
 from memlens.memoryful import drive, momentum_form
 from memlens.minibatch import batch_pair_expectations
@@ -133,20 +134,71 @@ def decaying_double_sum(rho1: float, rho2: float, n: int) -> float:
     return total
 
 
+def _ema_lag_coefficient(beta: float, n: Optional[int]) -> float:
+    """bias(n) * sum_{k=1}^{n} k beta^k for a bias-corrected average:
+    beta/(1-beta) - (n+1) beta^(n+1)/(1-beta^(n+1)); limit beta/(1-beta)."""
+    if beta == 0.0:
+        return 0.0
+    if n is None:
+        return beta / (1.0 - beta)
+    return beta / (1.0 - beta) - (n + 1) * beta ** (n + 1) / (1.0 - beta ** (n + 1))
+
+
+def correction_closed_adamw(spec: OptimizerSpec, loss: LossModel,
+                            theta: ParamVector, n: Optional[int] = None) -> np.ndarray:
+    """Componentwise closed-form correction of the adaptive kinds, derived by
+    hand: two momentum lag coefficients, one hvp.  With bias-corrected
+    averages every inner contracted update equals F, so the form is exact at
+    every n; NAdamW weights the first average's lag by beta1, the share it
+    has in the numerator.  Row-wise over a (B, d) stack."""
+    if not spec.bias_correction:
+        raise ValueError("closed form assumes bias-corrected averages")
+    eps = spec.eps
+    g = loss.grad(theta)
+    den2 = g * g + eps
+    den = np.sqrt(den2)
+    direction = loss.hvp(theta, g / den + spec.lam * theta)
+    a1 = _ema_lag_coefficient(spec.beta1, n)
+    if spec.kind is Kind.NADAMW:
+        a1 = spec.beta1 * a1
+    a2 = _ema_lag_coefficient(spec.beta2, n)
+    return spec.h * (a1 - a2 + eps * a2 / den2) * direction / den
+
+
+def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
+                            theta: ParamVector, n: Optional[int] = None) -> np.ndarray:
+    """Closed-form correction of the sign-momentum family, derived by hand, in
+    the large-n limit and (with bias-corrected averages) at finite n:
+    -h * coef * K''(-grad) * hvp(theta, K'(-grad) - lam*theta).  Without bias
+    correction there is no finite-n closed form.  Row-wise over a (B, d)
+    stack."""
+    if n is not None and not spec.bias_correction:
+        raise ValueError("finite-n closed form assumes bias-corrected averages")
+    rho1, rho2 = spec.beta1, spec.beta2
+    if n is None:
+        coef = rho1 / (1.0 - rho2)
+    else:
+        coef = rho1 / (1.0 - rho2) - (n + 1) * rho2 ** n * rho1 / (1.0 - rho2 ** (n + 1))
+    form = momentum_form(spec)
+    g = loss.grad(theta)
+    kg = form.kgrad(-g)
+    return -spec.h * coef * form.khess_diag(-g) * loss.hvp(theta, kg - spec.lam * theta)
+
+
 def correction_signum_adam_identity_check(beta: float, loss: LossModel,
                                           theta: ParamVector, eps: float,
                                           lam: float = 0.0, h: float = 1e-3) -> float:
-    """Relative gap between the large-n corrections of the adaptive update with
-    equal momentum parameters and the sign-momentum update with the same pair.
-    Zero up to rounding."""
+    """Relative gap between the large-n corrections correction_closed gives the
+    adaptive update with equal momentum parameters and the sign-momentum
+    update with the same pair.  Zero up to rounding."""
     theta = as_param_vector(theta)
     if beta == 0.0:
         # both corrections vanish identically
         return 0.0
     adam = OptimizerSpec.adamw(h=h, beta1=beta, beta2=beta, lam=lam, eps=eps)
     lion = OptimizerSpec.signum(h=h, beta=beta, lam=lam, eps=eps)
-    ca = correction_closed_adamw(adam, loss, theta).vector
-    cl = correction_closed_lionk(lion, loss, theta).vector
+    ca = correction_closed(adam, loss, theta, None).vector
+    cl = correction_closed(lion, loss, theta, None).vector
     scale = max(float(np.max(np.abs(ca))), float(np.max(np.abs(cl))))
     if scale == 0.0:
         return 0.0

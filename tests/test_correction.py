@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from memlens import (OptimizerSpec, correction_bruteforce, correction_closed,
-                     correction_closed_adamw, correction_closed_heavyball,
-                     correction_closed_lionk, correction_contraction, make_quadratic,
+                     correction_closed_heavyball, correction_contraction, make_quadratic,
                      modified_loss_heavyball)
-from memlens.core import KSpec
+from memlens.core import Kind, KSpec
 from memlens.correction import Method, heavyball_bracket
+from memlens.memoryful import momentum_form, stack_spec
 
 from conftest import all_kind_specs, limit_specs, random_spd, rel_linf
-from oracles import correction_signum_adam_identity_check, decaying_double_sum
+from oracles import (correction_closed_adamw, correction_closed_lionk,
+                     correction_signum_adam_identity_check, decaying_double_sum)
 
 
 def test_zero_at_n0(quad4, rng):
@@ -73,7 +74,7 @@ def test_heavyball_asymptotic_spec_value():
     # beta=0.5, h=0.01, quadratic A=1 (d=1), theta=1: 0.01*0.5/(2*0.125)*2*1 = 0.04
     loss = make_quadratic(np.array([[1.0]]), np.zeros(1))
     spec = OptimizerSpec.heavy_ball(0.01, 0.5)
-    term = correction_closed_heavyball(spec, loss, np.array([1.0]))
+    term = correction_closed(spec, loss, np.array([1.0]), None)
     assert term.vector[0] == pytest.approx(0.04, abs=1e-15)
     brute = correction_bruteforce(spec, loss, np.array([1.0]), 200).vector[0]
     assert brute == pytest.approx(0.04, rel=1e-10)
@@ -82,7 +83,7 @@ def test_heavyball_asymptotic_spec_value():
 def test_heavyball_beta0_no_memory(quad4, rng):
     spec = OptimizerSpec.heavy_ball(1e-3, 0.0)
     theta = rng.standard_normal(4)
-    assert np.all(correction_closed_heavyball(spec, quad4, theta).vector == 0.0)
+    assert np.all(correction_closed(spec, quad4, theta, None).vector == 0.0)
     assert np.all(correction_bruteforce(spec, quad4, theta, 50).vector == 0.0)
 
 
@@ -106,11 +107,11 @@ def test_adam_correction_zero_iff_stationary(rng):
     for b1, b2 in ((0.9, 0.9), (0.9, 0.95)):
         spec = OptimizerSpec.adamw(1e-3, b1, b2, lam=0.0, eps=1e-4)
         # the solved minimizer carries ~1e-16 gradient rounding
-        at_min = correction_closed_adamw(spec, loss, theta_star).vector
+        at_min = correction_closed(spec, loss, theta_star, None).vector
         assert np.max(np.abs(at_min)) <= 1e-12
         for _ in range(20):
             theta = theta_star + rng.standard_normal(4)
-            away = correction_closed_adamw(spec, loss, theta).vector
+            away = correction_closed(spec, loss, theta, None).vector
             assert np.max(np.abs(away)) > 1e-10
 
 
@@ -147,7 +148,7 @@ def test_contraction_matches_bruteforce(spec, quad4, rng):
 def test_nesterov_closed_form(quad4, rng):
     theta = rng.standard_normal(4)
     beta = 0.9
-    hb = correction_closed_heavyball(OptimizerSpec.heavy_ball(1e-3, beta), quad4, theta)
+    hb = correction_closed(OptimizerSpec.heavy_ball(1e-3, beta), quad4, theta, None)
     ne = correction_closed(OptimizerSpec.nesterov(1e-3, beta), quad4, theta, None)
     # coefficient ratio is exactly beta
     assert rel_linf(ne.vector, beta * hb.vector) <= 1e-14
@@ -183,15 +184,15 @@ def test_adamw_coefficient_cancellation(quad4, rng):
     norms = []
     for eps in (1e-2, 1e-4, 1e-6, 1e-8):
         spec = OptimizerSpec.adamw(1e-3, 0.9, 0.9, lam=0.0, eps=eps)
-        norms.append(np.max(np.abs(correction_closed_adamw(spec, quad4, theta).vector)))
+        norms.append(np.max(np.abs(correction_closed(spec, quad4, theta, None).vector)))
     assert all(a > b for a, b in zip(norms, norms[1:]))
     assert norms[-1] <= 1e-5 * norms[0]
 
 
 def test_adamw_leading_coefficient_value():
     # beta1=0.9, beta2=0.95: 9 - 19 = -10
-    from memlens.correction import _ema_lag_coefficient
-    lead = _ema_lag_coefficient(0.9, None) - _ema_lag_coefficient(0.95, None)
+    lag = momentum_form(OptimizerSpec.adamw(1e-3, 0.9, 0.95)).lag_scales
+    lead = lag[0] - lag[1]
     assert lead == pytest.approx(-10.0, abs=1e-12)
 
 
@@ -200,7 +201,7 @@ def test_lion_eps_factor_vanishes(quad4, rng):
     norms = []
     for eps in (1e-2, 1e-4, 1e-6, 1e-8):
         spec = OptimizerSpec.lion_k(1e-3, 0.9, 0.95, lam=0.0, eps=eps)
-        norms.append(np.max(np.abs(correction_closed_lionk(spec, quad4, theta).vector)))
+        norms.append(np.max(np.abs(correction_closed(spec, quad4, theta, None).vector)))
     assert all(a > b for a, b in zip(norms, norms[1:]))
     assert norms[-1] <= 1e-5 * norms[0]
 
@@ -215,10 +216,10 @@ def test_lion_two_norm_reduces_to_heavyball(quad4, rng):
                                 kspec=KSpec.HALF_SQUARED_TWO_NORM)
     hb_same_h = OptimizerSpec.heavy_ball(h, beta)
     hb_scaled = OptimizerSpec.heavy_ball(h * (1 - beta), beta)
-    c_lion = correction_closed_lionk(lion, quad4, theta).vector
-    c_hb = correction_closed_heavyball(hb_same_h, quad4, theta).vector
+    c_lion = correction_closed(lion, quad4, theta, None).vector
+    c_hb = correction_closed(hb_same_h, quad4, theta, None).vector
     assert rel_linf(c_lion, (1 - beta) ** 2 * c_hb) <= 1e-12
-    c_hb_scaled = correction_closed_heavyball(hb_scaled, quad4, theta).vector
+    c_hb_scaled = correction_closed(hb_scaled, quad4, theta, None).vector
     assert rel_linf(h * c_lion, h * (1 - beta) * c_hb_scaled) <= 1e-12
     brute = correction_bruteforce(lion, quad4, theta, 300).vector
     assert rel_linf(c_lion, brute) <= 1e-6
@@ -299,7 +300,59 @@ def test_fallbacks_flagged(quad4, rng):
 
 @pytest.mark.parametrize("spec", limit_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")
 def test_closed_term_carries_its_grad(spec, quad4, rng):
-    # the memoryless step reuses term.grad in place of a second grad call
+    # the memoryless step reads term.update in place of a second grad call
     theta = rng.standard_normal(4)
+    form = momentum_form(spec)
     for n in (None, 0, 1, 7, 60):
-        assert np.array_equal(correction_closed(spec, quad4, theta, n).grad, quad4.grad(theta))
+        update = correction_closed(spec, quad4, theta, n).update
+        assert rel_linf(update, form.contracted_F(quad4, theta, n)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["adamw", "nadamw", "lionk-one-norm", "lionk-two-norm"])
+@pytest.mark.parametrize("betas", [(0.9, 0.95), (0.9, 0.99), (0.5, 0.9), (0.95, 0.98),
+                                   (0.0, 0.9)])
+def test_closed_matches_hand_derived_forms(kind, betas, quad4, logistic6, rng):
+    # the lag-weight route against the hand-derived componentwise forms, on
+    # (B, d) stacks with a column of step sizes
+    b1, b2 = betas
+    hs = [1e-3, 2e-3, 5e-4]
+    worst = 0.0
+    for eps in (1e-8, 1e-6, 1e-3):
+        if kind == "adamw":
+            spec, oracle = OptimizerSpec.adamw(1e-3, b1, b2, 0.1, eps), correction_closed_adamw
+        elif kind == "nadamw":
+            spec, oracle = OptimizerSpec.nadamw(1e-3, b1, b2, 0.1, eps), correction_closed_adamw
+        else:
+            kspec = (KSpec.SMOOTHED_ONE_NORM if kind == "lionk-one-norm"
+                     else KSpec.HALF_SQUARED_TWO_NORM)
+            spec = OptimizerSpec.lion_k(1e-3, b1, b2, 0.1, eps, kspec, bias_correction=True)
+            oracle = correction_closed_lionk
+        spec = stack_spec(spec, hs)
+        for loss, d in ((quad4, 4), (logistic6, 6)):
+            theta = rng.standard_normal((len(hs), d))
+            for n in (0, 1, 2, 5, 50, 200, 1000, None):
+                got = correction_closed(spec, loss, theta, n).vector
+                worst = max(worst, rel_linf(got, oracle(spec, loss, theta, n)))
+    assert worst <= 1e-13
+
+
+def test_n_independent_forms_take_the_closed_route(quad4, rng):
+    # without memory an unbiased adaptive update does not depend on n either,
+    # so it takes the lag-weight route at finite n, not the fallback
+    theta = rng.standard_normal(4)
+    for spec in (OptimizerSpec.adamw(1e-3, 0.0, 0.0, lam=0.1, eps=1e-4, bias_correction=False),
+                 OptimizerSpec.nadamw(1e-3, 0.0, 0.0, lam=0.1, eps=1e-4, bias_correction=False)):
+        assert momentum_form(spec).n_independent
+        for n in (1, 5, 50):
+            term = correction_closed(spec, quad4, theta, n)
+            assert term.method is Method.CLOSED_FORM_FINITE_N and "fallback" not in term.meta
+            brute = correction_bruteforce(spec, quad4, theta, n).vector
+            assert np.array_equal(term.vector, brute)
+    with pytest.raises(ValueError, match="depend on n"):
+        momentum_form(OptimizerSpec.heavy_ball(1e-3, 0.9)).lag_weights(5)
+    # a fallback is taken exactly when the update depends on n and no bracket serves
+    for spec in limit_specs():
+        term = correction_closed(spec, quad4, theta, 5)
+        expected = (not momentum_form(spec).n_independent
+                    and spec.kind not in (Kind.HEAVY_BALL, Kind.NESTEROV))
+        assert ("fallback" in term.meta) == expected

@@ -6,8 +6,7 @@ import pytest
 from memlens import (OptimizerSpec, RunConfig, linf_distance, loss_from_config,
                      one_step_defect, run_memoryful, run_memoryless, step_memoryless)
 from memlens import correction
-from memlens.correction import correction_closed, correction_closed_lionk
-from memlens.memoryful import momentum_form
+from memlens.correction import correction_closed
 from memlens.memoryless import CorrectionVariant, MemorylessKind, Order
 
 from conftest import counting_loss, limit_specs
@@ -120,7 +119,7 @@ def test_lion_correction_scales_linearly_in_eps(quad4, rng):
     mags = []
     for eps in (1e-8, 2e-8, 4e-8):
         spec = OptimizerSpec.lion_k(1e-3, 0.9, 0.95, lam=0.0, eps=eps)
-        mags.append(np.max(np.abs(correction_closed_lionk(spec, quad4, theta).vector)))
+        mags.append(np.max(np.abs(correction_closed(spec, quad4, theta, None).vector)))
     assert mags[1] / mags[0] == pytest.approx(2.0, rel=0.05)
     assert mags[2] / mags[1] == pytest.approx(2.0, rel=0.05)
 
@@ -183,11 +182,10 @@ def test_second_order_step_makes_one_grad(spec, quad4, rng):
     # (or the large-n limit) adds one hvp, the contraction fallback one per
     # memory slot.  The step is bitwise the sum of its separately evaluated terms.
     counting, counts = counting_loss(quad4)
-    form = momentum_form(spec)
     theta = rng.standard_normal(4)
     for variant, n in ((CorrectionVariant.FINITE_N, 7), (CorrectionVariant.ASYMPTOTIC, None)):
         term = correction_closed(spec, quad4, theta, n)
-        expected = theta - spec.h * (form.contracted_F(quad4, theta, n) + term.vector)
+        expected = theta - spec.h * (term.update + term.vector)
         counts.clear()
         got = step_memoryless(spec, counting, theta, 7, MemorylessKind.second(variant))
         assert np.array_equal(got, expected)
