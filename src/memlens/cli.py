@@ -461,7 +461,8 @@ def cmd_closeness(resolved, out_dir):
             frac = ordering_fraction(per_h, n_burn)
             gates.append(_gate(f"ordering-h={h}", frac, frac >= fr_min, f">= {fr_min}"))
     write_csv(out_dir / f"{stem}.csv", ["h", "n", "t", "gap_second", "gap_first"], rows)
-    return _finish(out_dir, stem, resolved, gates, {"n_burn": n_burn})
+    return _finish(out_dir, stem, resolved, gates,
+                   {"n_burn": n_burn, **data[float(grid[0])]["correction"]})
 
 
 def cmd_ode_compare(resolved, out_dir):
@@ -541,8 +542,9 @@ def cmd_corr_table(resolved, out_dir):
             rows.append(["contraction", spec.kind.value, n, i, contr[i]])
             rows.append([closed.method.value, spec.kind.value, n, i, closed.vector[i]])
         scale = float(np.max(np.abs(brute))) + 1e-12
-        gap = float(np.max(np.abs(closed.vector - brute))) / scale
-        gates.append(_gate(f"closed-vs-brute-n={n}", gap, gap <= tol, f"<= {tol}"))
+        for name, vector in (("closed", closed.vector), ("contraction", contr)):
+            gap = float(np.max(np.abs(vector - brute))) / scale
+            gates.append(_gate(f"{name}-vs-brute-n={n}", gap, gap <= tol, f"<= {tol}"))
     asym = corr.correction_closed(spec, loss, theta, None)
     for i in range(theta.size):
         rows.append([asym.method.value, spec.kind.value, "inf", i, asym.vector[i]])

@@ -1,13 +1,13 @@
 """Memory-correction terms: the linear-in-h vector added to a contracted
 update so that the memoryless iteration tracks the memoryful one to second
-order.
-
-Three evaluation routes are provided and cross-checked:
+order.  It is the momentum slots' Jacobian applied to the history windows,
+which every route takes from MomentumForm.slot_jvp.  Three evaluation routes
+are provided and cross-checked:
   * brute force  - the literal double sum over lag k and inner step s,
-                   with prefix sums making it O(n) per evaluation;
-  * contraction  - the same sum reassociated through the momentum slots so
-                   each slot costs one Jacobian-vector product, with every
-                   inner update in one array evaluation;
+                   with prefix sums making it O(n): one slot_jvp per lag;
+  * contraction  - the same sum reassociated through the momentum slots,
+                   with every inner update in one array evaluation and one
+                   slot_jvp over all n windows;
   * closed form  - correction_closed, which takes one of three routes: the
                    O(1) bracket of the heavy ball and Nesterov at finite n;
                    the lag-weight route, derived from the momentum form, in
@@ -81,47 +81,35 @@ def correction_bruteforce(spec: OptimizerSpec, loss: LossModel,
     P = np.zeros((n + 1, theta.size))
     np.cumsum([form.contracted_F(loss, theta, s, g) for s in range(n)], axis=0, out=P[1:])
     m_top = form.contracted_momenta(theta, g, n)
-    zeros = np.zeros(theta.size)
-    c = np.zeros(theta.size)
+    c = form.scales(n)
+    total = np.zeros(theta.size)
     for k in range(1, n + 1):
-        v_k = P[n] - P[n - k]
-        us = []
-        for l, slot in enumerate(form.slots):
-            w = slot.beta ** k
-            if w == 0.0:
-                us.append(zeros)
-            else:
-                us.append(slot.bias(n) * w * form.feature_jvp(loss, theta, g, l, v_k))
-        c = c + form.output_jac_apply(m_top, us)
-    return CorrectionTerm(spec.h * c, n, Method.BRUTE_FORCE)
+        w = tuple(slot.bias(n) * slot.beta ** k for slot in form.slots)
+        total = total + form.slot_jvp(loss, theta, g, m_top, c, w, P[n] - P[n - k])
+    return CorrectionTerm(spec.h * total, n, Method.BRUTE_FORCE)
 
 
 def correction_contraction(spec: OptimizerSpec, loss: LossModel,
                            theta: ParamVector, n: int) -> CorrectionTerm:
-    """Same sum as correction_bruteforce, reassociated so each momentum slot
-    needs a single Jacobian-vector product (fast enough for per-step use).
-    Row-wise over a (B, d) stack whose spec.h is a (B, 1) column."""
+    """Same sum as correction_bruteforce, reassociated so the n windows pass
+    through one slot_jvp (fast enough for per-step use).  Row-wise over a
+    (B, d) stack whose spec.h is a (B, 1) column."""
     if n < 0:
         raise ValueError("n must be >= 0")
     form = momentum_form(spec)
     g = loss.grad(theta)
     m_top = form.contracted_momenta(theta, g, n)
     update = form.output(m_top)
-    zeros = np.zeros(np.shape(theta))
     if n == 0:
-        return CorrectionTerm(zeros, 0, Method.CONTRACTION, update=update)
+        return CorrectionTerm(np.zeros(np.shape(theta)), 0, Method.CONTRACTION, update=update)
     P = _prefix_contracted(form, theta, g, n)
     # V[k-1] = P[n] - P[n-k] = sum of contracted F^(s) over the k steps before n
     V = P[n][None] - P[:n][::-1]
-    us = []
-    for l, slot in enumerate(form.slots):
-        if slot.beta == 0.0:
-            us.append(zeros)
-            continue
-        weights = slot.beta ** np.arange(1, n + 1, dtype=np.float64)
-        w_vec = (weights @ V.reshape(n, -1)).reshape(np.shape(theta))
-        us.append(slot.bias(n) * form.feature_jvp(loss, theta, g, l, w_vec))
-    c = form.output_jac_apply(m_top, us)
+    # weights[k-1, l] = bias_l(n) beta_l^k, the weight of lag k in slot l
+    lags = np.arange(1, n + 1, dtype=np.float64)[:, None]
+    weights = np.array([slot.bias(n) for slot in form.slots]) \
+        * np.array([slot.beta for slot in form.slots]) ** lags
+    c = form.slot_jvp(loss, theta, g, m_top, form.scales(n), weights, V)
     return CorrectionTerm(spec.h * c, n, Method.CONTRACTION, update=update)
 
 
@@ -180,7 +168,8 @@ def correction_closed(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
       * lag weights - in the large-n limit, and at finite n when the form's
         contracted update does not depend on n, every inner update is the
         same F, so the lag-k window sums to k F and the correction is
-        h * limit_jvp with per-slot weights lag_weights(n); one hvp;
+        h * limit_jvp (slot_jvp on the one window F) with per-slot weights
+        lag_weights(n); one hvp;
       * otherwise the O(n) contraction, flagged in meta as a fallback.
     Every route works row-wise over a (B, d) stack of points whose spec.h is
     a (B, 1) column, and none re-validates theta: its callers hold checked

@@ -61,15 +61,19 @@ def fit_loglog(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, flo
     return slope, intercept, r2
 
 
+def _correction(run: Trajectory) -> dict:
+    """The correction_method of a memoryless run, and its correction_fallback
+    when one was taken; empty when no second-order step ran."""
+    return {k: run.meta[k] for k in ("correction_method", "correction_fallback")
+            if run.meta.get(k) is not None}
+
+
 def _assemble_report(points: List[SweepPoint], runs: List[Trajectory]) -> SweepReport:
     """Fits the points; runs are the discrete runs they measure, one stack
     sharing one meta, which names the correction its first step took."""
     nan = float("nan")
-    meta = runs[0].meta
-    correction = {k: meta[k] for k in ("correction_method", "correction_fallback")
-                  if meta.get(k) is not None}
     report = SweepReport(points=sorted(points, key=lambda p: -p.h), slope=nan,
-                         r2=nan, status="degenerate", correction=correction)
+                         r2=nan, status="degenerate", correction=_correction(runs[0]))
     usable = [(p.h, p.metric) for p in report.fitted_points()]
     if len(usable) >= 3:
         report.slope, _, report.r2 = fit_loglog(usable)
@@ -145,8 +149,9 @@ def defect_sweep(config: RunConfig, h_grid: Sequence[float], n_max: Optional[int
 
 def trajectory_closeness(config: RunConfig, h_list: Sequence[float]) -> dict:
     """Per-step inf-norm gaps of the second- and first-order memoryless runs
-    against the memoryful trajectory, for each h; each of the three runs
-    every h as one lockstep stack."""
+    against the memoryful trajectory, for each h, with the correction the
+    second-order runs took; each of the three runs every h as one lockstep
+    stack."""
     h_list = [float(h) for h in h_list]
     loss = loss_from_config(config.loss_id, config.loss_params, config.dimension, config.seed)
     runs = zip(run_memoryful(config, loss=loss, hs=h_list),
@@ -163,6 +168,7 @@ def trajectory_closeness(config: RunConfig, h_list: Sequence[float]) -> dict:
             "gap_second": gap2,
             "gap_first": gap1,
             "domain_exit": [t.domain_exit for t in (full, second, first)],
+            "correction": _correction(second),
         }
     return out
 

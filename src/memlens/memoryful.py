@@ -121,22 +121,6 @@ class MomentumForm:
                 out.append(-g)
         return out
 
-    def feature_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
-                    index: int, v: ParamVector) -> np.ndarray:
-        f = self.slots[index].feature
-        return self._feature_jvp(f, g, v, None if f is Feature.THETA else loss.hvp(theta, v))
-
-    @staticmethod
-    def _feature_jvp(f: Feature, g: ParamVector, v: ParamVector, hv: np.ndarray) -> np.ndarray:
-        """Directional derivative of feature f along v, given hv = hvp(theta, v)."""
-        if f is Feature.GRAD:
-            return hv
-        if f is Feature.GRAD_SQ:
-            return 2.0 * g * hv
-        if f is Feature.THETA:
-            return v
-        return -hv
-
     # -- output map --------------------------------------------------------
 
     def kgrad(self, x: np.ndarray) -> np.ndarray:
@@ -167,30 +151,18 @@ class MomentumForm:
             return self.numerator(m) / np.sqrt(m[1] + self.spec.eps) + m[2]
         return -self.kgrad(m[0] + m[1]) + m[2]
 
-    def output_jac_apply(self, m: List[np.ndarray], us: List[np.ndarray]) -> np.ndarray:
-        """sum_l (dQ/dm_l) u_l at the momentum point m."""
-        k = self.spec.kind
-        if k is Kind.HEAVY_BALL:
-            return us[0]
-        if k is Kind.NESTEROV:
-            return us[0] + us[1]
-        if k in (Kind.ADAMW, Kind.NADAMW):
-            den = np.sqrt(m[1] + self.spec.eps)
-            return self.numerator(us) / den \
-                - self.numerator(m) * us[1] / (2.0 * den ** 3) + us[2]
-        x = m[0] + m[1]
-        return -self.khess_diag(x) * (us[0] + us[1]) + us[2]
-
     # -- contracted evaluation (all history arguments equal) ----------------
 
     def contracted_momenta(self, theta: ParamVector, g: ParamVector,
                            n: Optional[int]) -> List[np.ndarray]:
-        feats = self.feature_values(theta, g)
+        return [c * f for c, f in zip(self.scales(n), self.feature_values(theta, g))]
+
+    def scales(self, n: Optional[int]) -> Tuple[float, ...]:
+        """bias_l(n) * sum_{k=0}^{n} beta_l^k per slot, the coefficient of
+        slot l's feature in its contracted momentum; n None gives limit_scales."""
         if n is None:
-            scales = self.limit_scales
-        else:
-            scales = [s.bias(n) * s.geometric_sum(n) for s in self.slots]
-        return [c * f for c, f in zip(scales, feats)]
+            return self.limit_scales
+        return tuple(s.bias(n) * s.geometric_sum(n) for s in self.slots)
 
     def contracted_F(self, loss: LossModel, theta: ParamVector,
                      n: Optional[int], g: Optional[ParamVector] = None) -> np.ndarray:
@@ -214,32 +186,51 @@ class MomentumForm:
             s.beta / (1.0 - s.beta) - (n + 1) * s.beta ** (n + 1) / (1.0 - s.beta ** (n + 1)))
             for s in self.slots)
 
+    def slot_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
+                 m: List[np.ndarray], c: Sequence[float], weights, V: np.ndarray) -> np.ndarray:
+        """sum_l (dQ/dm_l) J_l W_l at the momenta m = c * features, with J_l
+        the Jacobian of slot l's feature and W_l its window: weights[l] * V for
+        one window (weights Q floats), sum_k weights[k, l] V[k] for K windows
+        (weights a (K, Q) array); row-wise over a (B, d) stack.  The scalar
+        weights are combined before any vector arithmetic, so the slots share
+        one hvp (two for K windows of an adaptive kind).  There, with p the
+        numerator and den^2 = m_1 + eps, the term is
+        (H(sum_k lead_k V_k) g^2 + eps H(sum_k p(w_k) V_k)) / den^3 + W_2 with
+        lead_k = c_1 p(w_k) - p(c) w_k1, exactly 0 for AdamW at beta1 = beta2,
+        where the chain rule's O(1) numerator and denominator terms would
+        cancel to O(eps / den^2)."""
+        one = not isinstance(weights, np.ndarray)
+        w = weights if one else weights.T
+        k = self.spec.kind
+        if k in (Kind.ADAMW, Kind.NADAMW):
+            eps = self.spec.eps
+            pw = self.numerator(w)
+            lead = pw * c[1] - w[1] * self.numerator(c)
+            den2 = m[1] + eps
+            if one:
+                return loss.hvp(theta, V) * (lead * (g * g) + pw * eps) \
+                    / (den2 * np.sqrt(den2)) + w[2] * V
+            return (loss.hvp(theta, np.tensordot(lead, V, 1)) * (g * g)
+                    + eps * loss.hvp(theta, np.tensordot(pw, V, 1))) \
+                / (den2 * np.sqrt(den2)) + np.tensordot(w[2], V, 1)
+        # every other kind's gradient slots enter Q through one sum
+        s = w[0] if k is Kind.HEAVY_BALL else w[0] + w[1]
+        hv = s * loss.hvp(theta, V) if one else loss.hvp(theta, np.tensordot(s, V, 1))
+        if k is Kind.LION_K:
+            # Q = -kgrad(m_0 + m_1) + m_2, with -grad features in m_0, m_1
+            return self.khess_diag(m[0] + m[1]) * hv \
+                + (w[2] * V if one else np.tensordot(w[2], V, 1))
+        return hv
+
     def limit_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
                   scales: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-        """(F, sum_l (dQ/dm_l) scales_l J_l F) at the large-n momenta m, where
-        F = Q(m) is the large-n contracted update and J_l the Jacobian of slot
-        l's feature; one hvp serves every slot.  The second term is linear in
-        scales; with scales = limit_scales it is the Jacobian of the large-n
-        contracted update applied to F.
-
-        For the adaptive kinds the numerator and denominator terms are each
-        O(1) and cancel to O(eps / den^2) when their weights agree (equal
-        momentum parameters), so there the scalar weights are combined first:
-        with c = limit_scales, p = numerator and den^2 = m_1 + eps, the term
-        is hv ((p(scales) c_1 - scales_1 p(c)) g^2 + p(scales) eps) / den^3
-        + scales_2 F."""
+        """(F, slot_jvp with the one window F and weights scales) at the
+        large-n momenta, where F is the large-n contracted update: one hvp.
+        The second term is linear in scales; with scales = limit_scales it is
+        the Jacobian of the large-n contracted update applied to F."""
         m = self.contracted_momenta(theta, g, None)
         F = self.output(m)
-        hv = loss.hvp(theta, F)
-        if self.spec.kind in (Kind.ADAMW, Kind.NADAMW):
-            c, w = self.limit_scales, scales
-            pw = self.numerator(w)
-            den2 = m[1] + self.spec.eps
-            lead = pw * c[1] - w[1] * self.numerator(c)
-            return F, hv * (lead * (g * g) + pw * self.spec.eps) / (den2 * np.sqrt(den2)) \
-                + w[2] * F
-        us = [c * self._feature_jvp(s.feature, g, F, hv) for c, s in zip(scales, self.slots)]
-        return F, self.output_jac_apply(m, us)
+        return F, self.slot_jvp(loss, theta, g, m, self.limit_scales, scales, F)
 
     def advance(self, sums: List[np.ndarray], theta: ParamVector, g: ParamVector, n: int):
         """Step n of the raw exponential sums: returns (sums, F^(n))."""

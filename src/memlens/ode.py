@@ -5,9 +5,9 @@ and the discrete-versus-continuous gap swept over h.
 
 G1 = -F, where F is the large-n contracted update, and
 G2 = -(c/h + grad(G1) G1 / 2), where c is the large-n memory correction.  Both
-terms of G2 are Jacobian-vector products along F through the momentum slots,
-with per-slot weights lag_scales (c/h) and limit_scales (grad(F) F), so one
-grad and one hvp give F and G2 together.
+terms of G2 are the momentum slots' Jacobian (MomentumForm.slot_jvp) applied
+to the one window F, with per-slot weights lag_scales (c/h) and limit_scales
+(grad(F) F), so one grad and one hvp give F and G2 together.
 """
 from __future__ import annotations
 
@@ -48,8 +48,8 @@ def build_modified_ode(spec: OptimizerSpec, loss: LossModel) -> ModifiedODE:
     """G1 = -F and G2 = -(c/h + grad(G1) G1 / 2), with F the large-n
     contracted update and c the large-n memory correction, taken from the
     momentum form in one pass: one grad and one hvp give F and, since
-    limit_jvp is linear in its slot weights, G2 = -limit_jvp with weights
-    lag_scales + limit_scales / 2.  Neither depends on h, so a spec whose h
+    limit_jvp (slot_jvp on the window F) is linear in its slot weights,
+    G2 = -limit_jvp with weights lag_scales + limit_scales / 2.  Neither depends on h, so a spec whose h
     is a column gives the flows of a stack."""
     form = momentum_form(spec)
     scales = tuple(a + 0.5 * b for a, b in zip(form.lag_scales, form.limit_scales))

@@ -62,6 +62,20 @@ def limit_specs(h=1e-3):
     ]
 
 
+def equal_momentum_specs(h=1e-3):
+    """AdamW and NAdamW at beta1 = beta2, with and without bias correction:
+    there the numerator and denominator terms of the slot Jacobian are each
+    O(1) and cancel to O(eps / den^2)."""
+    return [kind(h, 0.9, 0.9, lam=0.1, eps=eps, bias_correction=bc)
+            for kind in (OptimizerSpec.adamw, OptimizerSpec.nadamw)
+            for eps in (1e-8, 1e-6, 1e-3) for bc in (True, False)]
+
+
+def spec_id(spec):
+    equal = f"-equal-eps{spec.eps:g}" if spec.beta1 == spec.beta2 else ""
+    return f"{spec.kind.value}-bc{int(spec.bias_correction)}{equal}"
+
+
 def counting_loss(loss):
     """(loss with counted oracles, Counter of value/grad/hvp calls)."""
     counts = Counter()

@@ -166,6 +166,10 @@ def test_corr_table_command(sweep_cfg, tmp_path):
     assert lines[0] == "method,kind,n,component,value"
     methods = {line.split(",")[0] for line in lines[1:]}
     assert {"bruteforce", "contraction", "closed-finite-n", "closed-asymptotic"} <= methods
+    # both faster routes are gated against the brute force at every n
+    summary = json.loads(next(out.glob("corr-table_*_summary.json")).read_text())
+    assert [g["name"] for g in summary["gates"]] == [
+        f"{route}-vs-brute-n={n}" for n in (1, 5, 50) for route in ("closed", "contraction")]
 
 
 def test_no_gate_is_a_failure(sweep_cfg, tmp_path, capsys):
@@ -247,6 +251,18 @@ burn_in_tol = 1e-3
     assert rc == 0
     csv = next(out.glob("closeness_*.csv"))
     assert csv.read_text().splitlines()[0] == "h,n,t,gap_second,gap_first"
+    # the summary names the correction of the second-order runs
+    summary = json.loads(next(out.glob("closeness_*_summary.json")).read_text())
+    assert summary["correction_method"] == "closed-finite-n"
+    assert "correction_fallback" not in summary
+    # without bias correction the ordering gate needs a longer horizon (it
+    # reads 0.85 at T = 0.3, 0.97 at T = 1)
+    out = tmp_path / "unbiased"
+    assert run_cli("closeness", "--config", p, "--out-dir", out, "--set", "run.horizon=1",
+                   "--set", "optimizer.bias_correction=false") == 0
+    summary = json.loads(next(out.glob("closeness_*_summary.json")).read_text())
+    assert summary["correction_method"] == "contraction"
+    assert "without bias correction" in summary["correction_fallback"]
 
 
 def test_minibatch_corr_command(tmp_path):

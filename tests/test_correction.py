@@ -6,9 +6,11 @@ from memlens import (OptimizerSpec, correction_bruteforce, correction_closed,
                      modified_loss_heavyball)
 from memlens.core import Kind, KSpec
 from memlens.correction import Method, heavyball_bracket
+from memlens.losses import FD_ABS_FLOOR, FD_STEP_DEFAULT
 from memlens.memoryful import momentum_form, stack_spec
 
-from conftest import all_kind_specs, limit_specs, random_spd, rel_linf
+from conftest import (all_kind_specs, counting_loss, equal_momentum_specs, limit_specs,
+                      random_spd, rel_linf, spec_id)
 from oracles import (correction_closed_adamw, correction_closed_lionk,
                      correction_signum_adam_identity_check, decaying_double_sum)
 
@@ -136,13 +138,63 @@ def test_large_n_closed_matches_bruteforce(spec, quad4, rng):
     assert term.method is Method.CLOSED_FORM_ASYMPTOTIC and "fallback" not in term.meta
 
 
-@pytest.mark.parametrize("spec", limit_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")
+@pytest.mark.parametrize("spec", limit_specs() + equal_momentum_specs(), ids=spec_id)
 def test_contraction_matches_bruteforce(spec, quad4, rng):
+    # and the lag-weight route where it applies; at beta1 = beta2 every route
+    # stays cancellation-free down to eps = 1e-8
     theta = rng.standard_normal(4)
+    lag_route = (momentum_form(spec).n_independent
+                 and spec.kind not in (Kind.HEAVY_BALL, Kind.NESTEROV))
     for n in (1, 7, 60, 600):
         a = correction_bruteforce(spec, quad4, theta, n).vector
         b = correction_contraction(spec, quad4, theta, n).vector
         assert rel_linf(a, b) <= 1e-12
+        if lag_route:
+            assert rel_linf(a, correction_closed(spec, quad4, theta, n).vector) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", limit_specs(), ids=spec_id)
+def test_routes_make_one_hvp_per_window(spec, quad4, rng):
+    # the slots share their hvps: one per lag for the brute force, at most
+    # two for the contraction, one for the lag-weight route and the bracket
+    theta = rng.standard_normal(4)
+    for n in (1, 7, 60):
+        loss, counts = counting_loss(quad4)
+        correction_bruteforce(spec, loss, theta, n)
+        assert counts == {"grad": 1, "hvp": n}
+        loss, counts = counting_loss(quad4)
+        correction_contraction(spec, loss, theta, n)
+        assert counts["grad"] == 1 and counts["hvp"] <= 2 and counts["value"] == 0
+        loss, counts = counting_loss(quad4)
+        if "fallback" not in correction_closed(spec, loss, theta, n).meta:
+            assert counts == {"grad": 1, "hvp": 1}
+    loss, counts = counting_loss(quad4)
+    correction_closed(spec, loss, theta, None)
+    assert counts == {"grad": 1, "hvp": 1}
+
+
+@pytest.mark.parametrize("spec", limit_specs(), ids=spec_id)
+def test_slot_jvp_matches_central_differences(spec, quad4, logistic6, rng):
+    # with the step-n slot scales as weights, the slot Jacobian applied to one
+    # window is the Jacobian of the contracted update F^(n); as one window
+    # and as a stack of one, against central differences (criterion 9's
+    # step and tolerance)
+    form = momentum_form(spec)
+    worst = 0.0
+    for loss, d in ((quad4, 4), (logistic6, 6)):
+        theta, V = rng.standard_normal(d), rng.standard_normal(d)
+        g = loss.grad(theta)
+        for n in (1, 7, 60):
+            c = form.scales(n)
+            m = form.contracted_momenta(theta, g, n)
+            fd = (form.contracted_F(loss, theta + FD_STEP_DEFAULT * V, n)
+                  - form.contracted_F(loss, theta - FD_STEP_DEFAULT * V, n)) \
+                / (2.0 * FD_STEP_DEFAULT)
+            for got in (form.slot_jvp(loss, theta, g, m, c, c, V),
+                        form.slot_jvp(loss, theta, g, m, c, np.array([c]), V[None])):
+                denom = np.maximum(np.abs(got), FD_ABS_FLOOR)
+                worst = max(worst, float(np.max(np.abs(fd - got) / denom)))
+    assert worst <= 1e-5
 
 
 def test_nesterov_closed_form(quad4, rng):
