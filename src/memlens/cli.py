@@ -4,7 +4,7 @@ Every experiment is driven by a sectioned key/value config file (INI-style
 sections [run], [loss], [optimizer], [experiment]; a JSON file with the same
 nesting, e.g. an emitted manifest.json, is accepted interchangeably) plus
 `--set section.key=value` overrides.  Outputs are CSV files and a JSON
-summary named `<experiment>_<tag>_<hash>` under the output directory, where
+summary named `<command>_<tag>_<hash>` under the output directory, where
 the hash is of the fully resolved config, so reruns of the same config
 produce byte-identical files.  Exit codes: 0 all gates passed, 1 a gate
 failed, 2 usage or config error.
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import correction as corr
-from .core import (Kind, KSpec, OptimizerSpec, RunConfig, floor_steps, fmt_float,
+from .core import (Kind, KSpec, OptimizerSpec, RunConfig, floor_steps, fmt_float, rng,
                    write_csv)
 from .harness import (SweepReport, defect_sweep, global_error_sweep,
                       n_burn_steps, ordering_fraction, trajectory_closeness)
@@ -31,13 +31,11 @@ from .losses import (family_from_config, fd_check_grad, fd_check_hvp,
                      loss_from_config)
 from .memoryful import run_memoryful
 from .memoryless import CorrectionVariant, MemorylessKind
-from .minibatch import (expected_correction_decomposed, expected_correction_exhaustive,
+from .minibatch import (EXHAUSTIVE_MAX, expected_correction_decomposed,
+                        expected_correction_exhaustive,
                         expected_correction_mc, modified_loss_minibatch,
                         perm_coefficients)
 from .ode import ODE_TARGETS, compare_discrete_vs_ode, gap_order
-
-COMMANDS = ("run", "sweep", "defect", "closeness", "ode-compare",
-            "minibatch-corr", "corr-table", "gradcheck")
 
 
 class ConfigError(Exception):
@@ -153,8 +151,6 @@ SCHEMA = {
                        lambda v: v >= 100, ">= 100"),
         "n_list": Key(_parse_ints, (1, 5, 50, 200), "step indices for corr-table (count)",
                       lambda v: all(n >= 0 for n in v), "a list of entries >= 0"),
-        "n_max": Key(int, 0, "cap on defect steps per h; 0 = no cap (count)",
-                     lambda v: v >= 0, ">= 0"),
         "dt_ratio": Key(int, 8, "ODE integrator substeps per h (count, >= 4)",
                         lambda v: v >= 4, ">= 4"),
         "ode_target": _choice(ODE_TARGETS[0], ODE_TARGETS, "discrete side of ode-compare"),
@@ -262,14 +258,11 @@ def resolve_config(path: str, overrides=()) -> dict:
 
 def _coerce_scalar(v: str):
     s = v.strip()
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
+    for cast in (int, float):
+        try:
+            return cast(s)
+        except ValueError:
+            pass
     return s
 
 
@@ -311,25 +304,22 @@ def _write_manifest(out_dir: Path, resolved: dict) -> None:
         f.write("\n")
 
 
-def _slope_gates(resolved, default_lo, default_hi):
-    exp = resolved["experiment"]
-    lo = exp["slope_min"] or default_lo
-    hi = exp["slope_max"] or default_hi
-    return lo, hi
-
-
-def _report_rows(report: SweepReport):
-    return [[p.h, p.metric, "ok" if p.valid else p.note] for p in report.points]
-
-
 def _gate(name, value, ok, limit):
     return {"name": name, "value": value, "limit": limit, "pass": bool(ok)}
 
 
-def _fit_gates(report: SweepReport, slope_name, r2_name, lo, hi, r2_min):
-    """Slope and r^2 gates of a sweep.  A degenerate fit (fewer than 3 points
-    above the rounding floor) passes only when every point is valid, i.e. the
-    errors sit at the floor; an invalid point makes the slope gate fail."""
+# the slope window of a gap of order p in h: the first-order memoryless gap
+# is O(h), the second-order one and the flow's O(h^2), the defect O(h^3)
+WINDOWS = {1: (0.8, 1.3), 2: (1.7, 2.3), 3: (2.7, 3.3)}
+
+
+def _fit_gates(resolved, report: SweepReport, slope_name, r2_name, window):
+    """Slope and r^2 gates of a sweep, with experiment.slope_min/slope_max
+    overriding the window.  A degenerate fit (fewer than 3 points above the
+    rounding floor) passes only when every point is valid, i.e. the errors
+    sit at the floor; an invalid point makes the slope gate fail."""
+    exp = resolved["experiment"]
+    lo, hi = exp["slope_min"] or window[0], exp["slope_max"] or window[1]
     if report.status == "degenerate":
         invalid = [p for p in report.points if not p.valid]
         if invalid:
@@ -339,103 +329,82 @@ def _fit_gates(report: SweepReport, slope_name, r2_name, lo, hi, r2_min):
                           f"{len(report.points)} invalid ({notes})")]
         return [_gate(slope_name, "degenerate", True, "fit skipped")]
     return [_gate(slope_name, report.slope, lo <= report.slope <= hi, f"[{lo}, {hi}]"),
-            _gate(r2_name, report.r2, report.r2 >= r2_min, f">= {r2_min}")]
+            _gate(r2_name, report.r2, report.r2 >= exp["r2_min"], f">= {exp['r2_min']}")]
 
 
-def _finish(out_dir: Path, stem: str, resolved: dict, gates: list,
-            extra: dict | None = None) -> int:
-    summary = {
-        "experiment": stem,
-        "config_hash": config_hash(resolved),
-        "gates": gates,
-        # a command that ran no gate has shown nothing, so it cannot pass
-        "status": "pass" if gates and all(g["pass"] for g in gates) else "fail",
-    }
-    if extra:
-        summary.update(extra)
+def _finish(out_dir: Path, command: str, resolved: dict, tag: str, csvs: dict,
+            gates: list, fields: dict) -> int:
+    """Writes a command's outputs, each named <command>_<tag>_<hash> with the
+    hash of the resolved config: one CSV per (header, rows) in csvs, under its
+    own tag, and the summary of the gates plus fields under tag.  Prints the
+    gates; returns the exit code."""
+    digest = config_hash(resolved)
+    for csv_tag, (header, rows) in csvs.items():
+        write_csv(out_dir / f"{command}_{csv_tag}_{digest}.csv", header, rows)
+    stem = f"{command}_{tag}_{digest}"
+    # a command that ran no gate has shown nothing, so it cannot pass
+    passed = bool(gates) and all(g["pass"] for g in gates)
+    summary = {"experiment": stem, "config_hash": digest, "gates": gates,
+               "status": "pass" if passed else "fail", **fields}
     with open(out_dir / f"{stem}_summary.json", "w", newline="\n") as f:
         json.dump(summary, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
     for g in gates:
-        tag = "PASS" if g["pass"] else "FAIL"
-        print(f"[{tag}] {g['name']}: value={g['value']} limit={g['limit']}")
+        mark = "PASS" if g["pass"] else "FAIL"
+        print(f"[{mark}] {g['name']}: value={g['value']} limit={g['limit']}")
     if not gates:
         print("[FAIL] no gate ran")
-    return 0 if summary["status"] == "pass" else 1
+    return 0 if passed else 1
 
 
-def _need_h_grid(resolved):
-    grid = resolved["experiment"]["h_grid"]
-    if not grid:
-        raise ConfigError("missing required config key: experiment.h_grid")
-    return grid
+# Every command takes the resolved config and the RunConfig built from it,
+# and returns (tag, {csv_tag: (header, rows)}, gates, summary fields) for
+# _finish to write.
 
-
-def cmd_run(resolved, out_dir):
-    config = build_run_config(resolved)
+def cmd_run(resolved, config):
     traj = run_memoryful(config)
-    stem = f"run_{config.optimizer.kind.value}_{config_hash(resolved)}"
-    header, rows = traj.csv_rows()
-    write_csv(out_dir / f"{stem}.csv", header, rows)
+    kind = config.optimizer.kind.value
     gates = [_gate("clean-run", traj.domain_exit if traj.domain_exit is not None else "none",
                    traj.domain_exit is None, "no domain exit")]
     print(f"steps={len(traj) - 1} final_loss={fmt_float(traj.loss_values[-1])}")
-    return _finish(out_dir, stem, resolved, gates)
+    return kind, {kind: traj.csv_rows()}, gates, {}
 
 
-def _sweep_order_kinds(resolved):
+def cmd_sweep(resolved, config):
     exp = resolved["experiment"]
+    grid = exp["h_grid"]
     second = MemorylessKind.second(CorrectionVariant(exp["correction_variant"]))
-    return {"both": [second, MemorylessKind.first()], "second": [second],
-            "first": [MemorylessKind.first()]}[exp["order"]]
-
-
-def cmd_sweep(resolved, out_dir):
-    config = build_run_config(resolved)
-    grid = _need_h_grid(resolved)
-    kinds = _sweep_order_kinds(resolved)
+    kinds = {"both": [second, MemorylessKind.first()], "second": [second],
+             "first": [MemorylessKind.first()]}[exp["order"]]
     # one memoryful stack serves both orders
     memoryful = run_memoryful(config, hs=grid) if len(kinds) > 1 else None
-    gates = []
-    extra = {"reports": {}}
+    csvs, gates, reports = {}, [], {}
     for kind in kinds:
         report = global_error_sweep(config, grid, kind, memoryful=memoryful)
         tag = kind.order.value
-        stem = f"sweep_{tag}_{config_hash(resolved)}"
-        write_csv(out_dir / f"{stem}.csv", ["h", "max_linf_error", "status"],
-                  _report_rows(report))
-        extra["reports"][tag] = {"slope": report.slope, "r2": report.r2,
-                                 "status": report.status, **report.correction}
-        lo, hi = _slope_gates(resolved, *(1.7, 2.3) if tag == "second" else (0.8, 1.3))
-        gates += _fit_gates(report, f"slope-{tag}", f"r2-{tag}", lo, hi,
-                            resolved["experiment"]["r2_min"])
-    stem = f"sweep_{resolved['experiment']['order']}_{config_hash(resolved)}"
-    return _finish(out_dir, stem, resolved, gates, extra)
+        csvs[tag] = (["h", "max_linf_error", "status"],
+                     [[p.h, p.metric, "ok" if p.valid else p.note] for p in report.points])
+        reports[tag] = {"slope": report.slope, "r2": report.r2, "status": report.status,
+                        **report.correction}
+        gates += _fit_gates(resolved, report, f"slope-{tag}", f"r2-{tag}",
+                            WINDOWS[2 if tag == "second" else 1])
+    return exp["order"], csvs, gates, {"reports": reports}
 
 
-def cmd_defect(resolved, out_dir):
-    config = build_run_config(resolved)
-    grid = _need_h_grid(resolved)
-    n_max = resolved["experiment"]["n_max"] or None
-    report, details = defect_sweep(config, grid, n_max=n_max)
-    stem = f"defect_{config.optimizer.kind.value}_{config_hash(resolved)}"
-    rows = []
-    for p in report.points:
-        for n, dval in enumerate(details.get(p.h, [])):
-            rows.append([p.h, n, dval])
+def cmd_defect(resolved, config):
+    report, details = defect_sweep(config, resolved["experiment"]["h_grid"])
+    rows = [[p.h, n, dval] for p in report.points for n, dval in enumerate(details[p.h])]
     rows.append(["slope", "", report.slope])
-    write_csv(out_dir / f"{stem}.csv", ["h", "n", "defect"], rows)
-    lo, hi = _slope_gates(resolved, 2.7, 3.3)
-    gates = _fit_gates(report, "defect-slope", "defect-r2", lo, hi,
-                       resolved["experiment"]["r2_min"])
-    return _finish(out_dir, stem, resolved, gates,
-                   {"slope": report.slope, "r2": report.r2, **report.correction})
+    kind = config.optimizer.kind.value
+    return (kind, {kind: (["h", "n", "defect"], rows)},
+            _fit_gates(resolved, report, "defect-slope", "defect-r2", WINDOWS[3]),
+            {"slope": report.slope, "r2": report.r2, **report.correction})
 
 
-def cmd_closeness(resolved, out_dir):
-    config = build_run_config(resolved)
-    grid = _need_h_grid(resolved)
-    tol = resolved["experiment"]["burn_in_tol"]
+def cmd_closeness(resolved, config):
+    exp = resolved["experiment"]
+    grid = exp["h_grid"]
+    tol = exp["burn_in_tol"]
     n_burn = n_burn_steps(config.optimizer, tol)
     for h in grid:
         steps = floor_steps(config.horizon, h)
@@ -444,15 +413,12 @@ def cmd_closeness(resolved, out_dir):
                               f"fewer than the {n_burn}-step burn-in "
                               f"(experiment.burn_in_tol={tol})")
     data = trajectory_closeness(config, grid)
-    stem = f"closeness_{config.optimizer.kind.value}_{config_hash(resolved)}"
-    rows = []
-    gates = []
-    fr_min = resolved["experiment"]["fraction_min"]
+    rows, gates = [], []
+    fr_min = exp["fraction_min"]
     for h in grid:
         per_h = data[float(h)]
-        for i in range(len(per_h["n"])):
-            rows.append([h, int(per_h["n"][i]), per_h["t"][i],
-                         per_h["gap_second"][i], per_h["gap_first"][i]])
+        rows += [[h, int(n), *rest] for n, *rest in zip(
+            per_h["n"], per_h["t"], per_h["gap_second"], per_h["gap_first"])]
         exits = [f"{run}@{n}" for run, n in zip(("memoryful", "second", "first"),
                                                 per_h["domain_exit"]) if n is not None]
         gates.append(_gate(f"clean-run-h={h}", ", ".join(exits) or "none", not exits,
@@ -460,32 +426,27 @@ def cmd_closeness(resolved, out_dir):
         if not exits:
             frac = ordering_fraction(per_h, n_burn)
             gates.append(_gate(f"ordering-h={h}", frac, frac >= fr_min, f">= {fr_min}"))
-    write_csv(out_dir / f"{stem}.csv", ["h", "n", "t", "gap_second", "gap_first"], rows)
-    return _finish(out_dir, stem, resolved, gates,
-                   {"n_burn": n_burn, **data[float(grid[0])]["correction"]})
+    kind = config.optimizer.kind.value
+    return (kind, {kind: (["h", "n", "t", "gap_second", "gap_first"], rows)}, gates,
+            {"n_burn": n_burn, **data[float(grid[0])]["correction"]})
 
 
-def cmd_ode_compare(resolved, out_dir):
-    config = build_run_config(resolved)
-    grid = _need_h_grid(resolved)
+def cmd_ode_compare(resolved, config):
     exp = resolved["experiment"]
-    report = compare_discrete_vs_ode(config, grid, dt_ratio=exp["dt_ratio"],
+    report = compare_discrete_vs_ode(config, exp["h_grid"], dt_ratio=exp["dt_ratio"],
                                      target=exp["ode_target"])
-    stem = f"ode-compare_{config.optimizer.kind.value}_{config_hash(resolved)}"
-    rows = _report_rows(report)
+    rows = [[p.h, p.metric, "ok" if p.valid else p.note] for p in report.points]
     rows.append(["slope", report.slope, report.status])
-    write_csv(out_dir / f"{stem}.csv", ["h", "max_error", "status"], rows)
     # an offset target whose contracted update depends on n keeps an O(h)
     # offset from the flow, so it gets the first-order window
-    order = gap_order(config.optimizer, exp["ode_target"])
-    lo, hi = _slope_gates(resolved, *(1.7, 2.3) if order == 2 else (0.8, 1.3))
-    gates = _fit_gates(report, "ode-slope", "ode-r2", lo, hi, exp["r2_min"])
-    return _finish(out_dir, stem, resolved, gates,
-                   {"slope": report.slope, "r2": report.r2, **report.correction})
+    window = WINDOWS[gap_order(config.optimizer, exp["ode_target"])]
+    kind = config.optimizer.kind.value
+    return (kind, {kind: (["h", "max_error", "status"], rows)},
+            _fit_gates(resolved, report, "ode-slope", "ode-r2", window),
+            {"slope": report.slope, "r2": report.r2, **report.correction})
 
 
-def cmd_minibatch_corr(resolved, out_dir):
-    config = build_run_config(resolved)
+def cmd_minibatch_corr(resolved, config):
     if config.loss_id != "minibatch-quadratic":
         raise ConfigError("minibatch-corr needs loss.id = minibatch-quadratic")
     if config.optimizer.kind is not Kind.HEAVY_BALL:
@@ -495,13 +456,12 @@ def cmd_minibatch_corr(resolved, out_dir):
     theta = config.initial_theta()
     beta = config.optimizer.beta1
     h = config.optimizer.h
-    samples = resolved["experiment"]["samples"]
 
     decomposed = expected_correction_decomposed(family, beta, theta, h)
-    mc_mean, mc_err = expected_correction_mc(family, beta, theta, h, samples, config.seed)
-    rows = []
-    gates = []
-    if family.size <= 7:
+    mc_mean, mc_err = expected_correction_mc(family, beta, theta, h,
+                                             resolved["experiment"]["samples"], config.seed)
+    rows, gates = [], []
+    if family.size <= EXHAUSTIVE_MAX:
         exact = expected_correction_exhaustive(family, beta, theta, h)
         rows += [["exhaustive", i, exact[i], ""] for i in range(theta.size)]
         gap = float(np.max(np.abs(exact - decomposed)))
@@ -515,51 +475,43 @@ def cmd_minibatch_corr(resolved, out_dir):
     if beta > 0.0:
         ident = abs(cf.c_eq + cf.c_neq - beta / (1.0 - beta) ** 3)
         gates.append(_gate("coefficient-identity", ident, ident <= 1e-12, "<= 1e-12"))
-    mod_loss = modified_loss_minibatch(family, beta, theta, h)
-
-    stem = f"minibatch-corr_{config.optimizer.kind.value}_{config_hash(resolved)}"
-    write_csv(out_dir / f"{stem}.csv", ["method", "component", "value", "stderr"], rows)
-    return _finish(out_dir, stem, resolved, gates,
-                   {"modified_loss": mod_loss, "c_eq": cf.c_eq, "c_neq": cf.c_neq})
+    fields = {"modified_loss": modified_loss_minibatch(family, beta, theta, h),
+              "c_eq": cf.c_eq, "c_neq": cf.c_neq}
+    kind = config.optimizer.kind.value
+    return kind, {kind: (["method", "component", "value", "stderr"], rows)}, gates, fields
 
 
-def cmd_corr_table(resolved, out_dir):
-    config = build_run_config(resolved)
+def cmd_corr_table(resolved, config):
     loss = loss_from_config(config.loss_id, config.loss_params,
                             config.dimension, config.seed)
     theta = config.initial_theta()
     spec = config.optimizer
-    n_list = resolved["experiment"]["n_list"]
+    kind = spec.kind.value
     tol = resolved["experiment"]["corr_tol"]
-    rows = []
-    gates = []
-    for n in n_list:
+    rows, gates = [], []
+    for n in resolved["experiment"]["n_list"]:
         brute = corr.correction_bruteforce(spec, loss, theta, int(n)).vector
         closed = corr.correction_closed(spec, loss, theta, int(n))
         contr = corr.correction_contraction(spec, loss, theta, int(n)).vector
         for i in range(theta.size):
-            rows.append(["bruteforce", spec.kind.value, n, i, brute[i]])
-            rows.append(["contraction", spec.kind.value, n, i, contr[i]])
-            rows.append([closed.method.value, spec.kind.value, n, i, closed.vector[i]])
+            rows.append(["bruteforce", kind, n, i, brute[i]])
+            rows.append(["contraction", kind, n, i, contr[i]])
+            rows.append([closed.method.value, kind, n, i, closed.vector[i]])
         scale = float(np.max(np.abs(brute))) + 1e-12
         for name, vector in (("closed", closed.vector), ("contraction", contr)):
             gap = float(np.max(np.abs(vector - brute))) / scale
             gates.append(_gate(f"{name}-vs-brute-n={n}", gap, gap <= tol, f"<= {tol}"))
     asym = corr.correction_closed(spec, loss, theta, None)
     for i in range(theta.size):
-        rows.append([asym.method.value, spec.kind.value, "inf", i, asym.vector[i]])
-    stem = f"corr-table_{spec.kind.value}_{config_hash(resolved)}"
-    write_csv(out_dir / f"{stem}.csv", ["method", "kind", "n", "component", "value"], rows)
-    return _finish(out_dir, stem, resolved, gates)
+        rows.append([asym.method.value, kind, "inf", i, asym.vector[i]])
+    return kind, {kind: (["method", "kind", "n", "component", "value"], rows)}, gates, {}
 
 
-def cmd_gradcheck(resolved, out_dir):
-    config = build_run_config(resolved)
+def cmd_gradcheck(resolved, config):
     loss = loss_from_config(config.loss_id, config.loss_params,
                             config.dimension, config.seed)
     theta = config.initial_theta()
     tol = resolved["experiment"]["gradcheck_tol"]
-    from .core import rng
     g = rng(config.seed, "gradcheck")
     grad_err = fd_check_grad(loss, theta)
     hvp_err = max(fd_check_hvp(loss, theta, g.standard_normal(theta.size))
@@ -569,19 +521,21 @@ def cmd_gradcheck(resolved, out_dir):
         _gate("grad-rel-err", grad_err, grad_err <= tol, f"<= {tol}"),
         _gate("hvp-rel-err", hvp_err, hvp_err <= tol, f"<= {tol}"),
     ]
-    stem = f"gradcheck_{config.loss_id}_{config_hash(resolved)}"
-    return _finish(out_dir, stem, resolved, gates)
+    return config.loss_id, {}, gates, {}
 
 
-_DISPATCH = {
-    "run": cmd_run,
-    "sweep": cmd_sweep,
-    "defect": cmd_defect,
-    "closeness": cmd_closeness,
-    "ode-compare": cmd_ode_compare,
-    "minibatch-corr": cmd_minibatch_corr,
-    "corr-table": cmd_corr_table,
-    "gradcheck": cmd_gradcheck,
+# command -> (function, help)
+COMMANDS = {
+    "run": (cmd_run, "run the memoryful optimizer and write the trajectory CSV"),
+    "sweep": (cmd_sweep, "global memoryful-vs-memoryless error over an h grid, "
+                         "with slope gate"),
+    "defect": (cmd_defect, "one-step defect sweep over an h grid, with slope gate"),
+    "closeness": (cmd_closeness, "per-step gaps of second- and first-order memoryless runs"),
+    "ode-compare": (cmd_ode_compare, "modified-equation flow versus the discrete iteration"),
+    "minibatch-corr": (cmd_minibatch_corr,
+                       "permutation-averaged correction for a mini-batch family"),
+    "corr-table": (cmd_corr_table, "correction terms by method and step index"),
+    "gradcheck": (cmd_gradcheck, "finite-difference health check of the loss oracles"),
 }
 
 
@@ -606,18 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
-    helps = {
-        "run": "run the memoryful optimizer and write the trajectory CSV",
-        "sweep": "global memoryful-vs-memoryless error over an h grid, with slope gate",
-        "defect": "one-step defect sweep over an h grid, with slope gate",
-        "closeness": "per-step gaps of second- and first-order memoryless runs",
-        "ode-compare": "modified-equation flow versus the discrete iteration",
-        "minibatch-corr": "permutation-averaged correction for a mini-batch family",
-        "corr-table": "correction terms by method and step index",
-        "gradcheck": "finite-difference health check of the loss oracles",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to config file (INI or JSON)")
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VALUE",
                        help="override a config value (repeatable)")
@@ -640,7 +584,9 @@ def main(argv=None) -> int:
         out_dir = Path(args.out_dir or os.environ.get("MEMLENS_OUT_DIR", "out"))
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_manifest(out_dir, resolved)
-        return _DISPATCH[args.command](resolved, out_dir)
+        function, _ = COMMANDS[args.command]
+        return _finish(out_dir, args.command, resolved,
+                       *function(resolved, build_run_config(resolved)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -126,15 +126,14 @@ def global_error_sweep(config: RunConfig, h_grid: Sequence[float], kind: Memoryl
     return _assemble_report(_gap_points(h_grid, memoryful, approx), approx)
 
 
-def defect_sweep(config: RunConfig, h_grid: Sequence[float], n_max: Optional[int] = None):
+def defect_sweep(config: RunConfig, h_grid: Sequence[float]):
     """Sup over n of the one-step defect per h; returns (report, {h: defects}).
     The second-order runs of every h, and their replay, each run as one stack."""
     h_grid = [float(h) for h in h_grid]
     loss = loss_from_config(config.loss_id, config.loss_params, config.dimension, config.seed)
     runs = run_memoryless(config, MemorylessKind.second(), loss=loss, hs=h_grid)
     clean = [t for t in runs if t.domain_exit is None]
-    defects = iter(one_step_defect(config, n_max=n_max, loss=loss, trajectory=clean)
-                   if clean else [])
+    defects = iter(one_step_defect(config, loss=loss, trajectory=clean) if clean else [])
     points, details = [], {}
     for h, traj in zip(h_grid, runs):
         if traj.domain_exit is not None:

@@ -8,7 +8,7 @@ vector, given a (B, d) stack of points (and directions) it returns B of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -45,9 +45,12 @@ def make_quadratic(A: np.ndarray, b: ParamVector,
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise ValueError("A must be positive-definite") from exc
-    # exactly symmetric, so the row-wise products theta @ A are A theta
-    A = 0.5 * (A + A.T)
+    return _quadratic(0.5 * (A + A.T), b, domain_radius)
 
+
+def _quadratic(A, b, domain_radius=DOMAIN_RADIUS_DEFAULT, name="quadratic") -> LossModel:
+    """0.5 theta^T A theta - b^T theta for an exactly symmetric A, whose
+    row-wise products theta @ A are then A theta; A need not be definite."""
     def value(theta):
         theta = np.asarray(theta)
         return 0.5 * np.sum(theta * (theta @ A), axis=-1) - theta @ b
@@ -57,7 +60,7 @@ def make_quadratic(A: np.ndarray, b: ParamVector,
         grad=lambda theta: np.asarray(theta) @ A - b,
         hvp=lambda theta, v: np.asarray(v) @ A,
         domain_radius=domain_radius,
-        name="quadratic",
+        name=name,
     )
 
 
@@ -141,47 +144,21 @@ def fd_check_hvp(loss: LossModel, theta: ParamVector, v: ParamVector,
     return float(np.max(np.abs(fd - hv) / denom))
 
 
-@dataclass(frozen=True)
-class GradientMap:
-    """One mini-batch: per-batch loss value, gradient map, and its Jacobian-vector product."""
-
-    value: Callable[[ParamVector], float]
-    grad: Callable[[ParamVector], ParamVector]
-    jvp: Callable[[ParamVector, ParamVector], ParamVector]
-
-
 @dataclass(eq=False)
 class MiniBatchFamily:
-    """A family of gradient maps g^(k) plus their arithmetic mean map."""
+    """A family of mini-batch losses plus their arithmetic mean loss."""
 
     batches: tuple
-    mean: GradientMap
+    mean: LossModel
     meta: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return len(self.batches)
 
-    def mean_loss_model(self, domain_radius: float = DOMAIN_RADIUS_DEFAULT) -> LossModel:
-        return LossModel(value=self.mean.value, grad=self.mean.grad, hvp=self.mean.jvp,
-                         domain_radius=domain_radius, name="minibatch-mean")
-
-
-def _quadratic_map(A, b):
-    """Row-wise gradient map of 0.5 theta^T A theta - b^T theta, A exactly symmetric."""
-    def value(theta):
-        theta = np.asarray(theta)
-        return 0.5 * np.sum(theta * (theta @ A), axis=-1) - theta @ b
-
-    return GradientMap(
-        value=value,
-        grad=lambda theta: np.asarray(theta) @ A - b,
-        jvp=lambda theta, v: np.asarray(v) @ A,
-    )
-
 
 def make_minibatch_quadratics(count: int, d: int, spread: float, seed: int) -> MiniBatchFamily:
-    """Family of quadratic gradient maps g^(k)(theta) = A_k theta - b_k.
+    """Family of quadratic losses with gradients g^(k)(theta) = A_k theta - b_k.
 
     Per-batch deviations from the mean are centered so the family mean is the
     base pair exactly (up to rounding); their scale is ~spread.  Deterministic
@@ -207,8 +184,9 @@ def make_minibatch_quadratics(count: int, d: int, spread: float, seed: int) -> M
     A_stack = A_mean[None, :, :] + spread * S
     b_stack = b_mean[None, :] + spread * D
 
-    batches = tuple(_quadratic_map(A_stack[k], b_stack[k]) for k in range(count))
-    mean = _quadratic_map(A_mean, b_mean)
+    batches = tuple(_quadratic(A_stack[k], b_stack[k], name="minibatch")
+                    for k in range(count))
+    mean = _quadratic(A_mean, b_mean, name="minibatch-mean")
     return MiniBatchFamily(batches=batches, mean=mean,
                            meta={"count": count, "d": d, "spread": spread, "seed": seed})
 
@@ -248,7 +226,7 @@ def loss_from_config(loss_id: str, params: dict, dimension: int, seed: int) -> L
         count = int(params.pop("count", 6))
         spread = float(params.pop("spread", 0.3))
         family = make_minibatch_quadratics(count, dimension, spread, seed)
-        loss = family.mean_loss_model(domain_radius=radius)
+        loss = replace(family.mean, domain_radius=radius)
     else:
         raise ValueError(f"unknown loss id: {loss_id!r}")
     if params:

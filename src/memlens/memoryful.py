@@ -175,16 +175,13 @@ class MomentumForm:
         """bias_l(n) * sum_{k=1}^{n} k beta_l^k per slot, the weights of the
         memory correction when every inner update is the same F; n None gives
         lag_scales.  At finite n only for an n-independent form, whose slots
-        with memory are bias-corrected: such a slot's weight is
-        bias_value * (beta/(1-beta) - (n+1) beta^(n+1)/(1-beta^(n+1))), which,
-        unlike the expanded sum, does not cancel at small n."""
+        with memory are bias-corrected: bias_value times _mean_lag(beta, n)."""
         if n is None:
             return self.lag_scales
         if not self.n_independent:
             raise ValueError("finite-n lag weights need an update that does not depend on n")
-        return tuple(0.0 if s.beta == 0.0 else s.bias_value * (
-            s.beta / (1.0 - s.beta) - (n + 1) * s.beta ** (n + 1) / (1.0 - s.beta ** (n + 1)))
-            for s in self.slots)
+        return tuple(0.0 if s.beta == 0.0 else s.bias_value * _mean_lag(s.beta, n)
+                     for s in self.slots)
 
     def slot_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
                  m: List[np.ndarray], c: Sequence[float], weights, V: np.ndarray) -> np.ndarray:
@@ -240,6 +237,21 @@ class MomentumForm:
         return sums, self.output(m)
 
 
+def _mean_lag(beta: float, n: int) -> float:
+    """sum_{k<=n} k beta^k / sum_{i<=n} beta^i.  Algebraically head - tail
+    with head = beta/(1-beta) and tail = (n+1) beta^(n+1)/(1-beta^(n+1)),
+    which costs O(1) and loses at most one bit while tail <= head/2, i.e.
+    for n beyond about 1.26/(1-beta).  Below that it is evaluated as the
+    quotient of the two positive sums, which cancels nothing."""
+    head = beta / (1.0 - beta)
+    tail = (n + 1) * beta ** (n + 1) / (1.0 - beta ** (n + 1))
+    if tail <= 0.5 * head:
+        return head - tail
+    k = np.arange(n + 1, dtype=np.float64)
+    p = beta ** k
+    return float(np.sum(k * p) / np.sum(p))
+
+
 def momentum_form(spec: OptimizerSpec) -> MomentumForm:
     """The form of spec, built once per distinct spec up to h, which no form
     reads (so a stack's spec, whose h is a column, shares the form)."""
@@ -281,6 +293,8 @@ def step_state(spec: OptimizerSpec, loss: LossModel, state: MomentumState,
 
 def stack_spec(spec: OptimizerSpec, hs: Optional[Sequence[float]]) -> OptimizerSpec:
     """spec with h the (B, 1) column of step sizes hs (None: spec.h alone)."""
+    if hs is not None and len(hs) == 0:
+        raise ValueError("h_grid is empty")
     return spec.with_h(np.array([spec.h] if hs is None else hs,
                                 dtype=np.float64).reshape(-1, 1))
 

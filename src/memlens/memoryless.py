@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import OptimizerSpec, ParamVector, RunConfig, Trajectory
+from .core import OptimizerSpec, ParamVector, RunConfig, Trajectory, floor_steps
 from .correction import correction_closed
 from .losses import LossModel, loss_from_config
 from .memoryful import MomentumState, drive, momentum_form, stack_spec
@@ -93,16 +93,17 @@ def run_memoryless(config: RunConfig, kind: MemorylessKind,
     return drive(config, loss, step, meta, hs, keep)
 
 
-def one_step_defect(config: RunConfig, n_max: Optional[int] = None,
-                    loss: Optional[LossModel] = None,
+def one_step_defect(config: RunConfig, loss: Optional[LossModel] = None,
                     trajectory: Union[Trajectory, Sequence[Trajectory], None] = None):
     """Residuals from feeding second-order memoryless iterates into the
     memoryful update: defect_n = || theta~(n+1) - theta~(n) + h F^(n)(theta~(n..0)) ||_inf.
 
-    Third order in h, uniformly over the horizon.  trajectory is one run
-    (the default: the second-order run of config) or a list of runs of
-    config's optimizer at their own h, replayed in lockstep as one stack;
-    the result is one array of defects per run.
+    Third order in h, uniformly over the horizon.  trajectory is one whole
+    run of config's optimizer (the default: its second-order run) or a list
+    of them at their own h; a run with a domain exit is an error.  drive
+    replays them as one stack, whose step advances the memoryful sums at each
+    row's recorded iterate and returns the recorded next one.  The result is
+    one array of defects per run.
     """
     if loss is None:
         loss = loss_from_config(config.loss_id, config.loss_params,
@@ -111,29 +112,34 @@ def one_step_defect(config: RunConfig, n_max: Optional[int] = None,
         trajectory = run_memoryless(config, MemorylessKind.second(), loss=loss)
     single = isinstance(trajectory, Trajectory)
     runs = [trajectory] if single else list(trajectory)
-    lasts = [len(t) - 1 if n_max is None else min(len(t) - 1, n_max + 1) for t in runs]
-    # rows by decreasing replay length, so the rows still replaying at step n
-    # are a prefix of the stack
-    order = sorted(range(len(runs)), key=lambda i: -lasts[i])
-    thetas = np.concatenate([runs[i].iterates for i in order])
-    starts = np.cumsum([0] + [len(runs[i]) for i in order[:-1]])
-    out_starts = np.cumsum([0] + [lasts[i] for i in order[:-1]])
-    out = np.empty(sum(lasts))
-    h = np.array([[runs[i].h] for i in order])
+    for t in runs:
+        if t.domain_exit is not None or len(t) != floor_steps(config.horizon, t.h) + 1:
+            raise ValueError(f"the run at h={t.h} is not whole (domain exit: {t.domain_exit})")
+    thetas = np.concatenate([t.iterates for t in runs])
+    lengths = np.array([len(t) for t in runs])
+    # where the stack's rows start in thetas, and their defects in out (a run
+    # has one defect fewer than iterates); keep drops the rows that leave
+    starts = np.cumsum(lengths) - lengths
+    out_starts = starts - np.arange(len(runs))
+    out = np.empty(len(thetas) - len(runs))
     form = momentum_form(config.optimizer)
     sums = MomentumState.fresh(form, (len(runs), thetas.shape[1])).sums
-    k = len(runs)
-    for n in range(max(lasts)):
-        if lasts[order[k - 1]] <= n:
-            while lasts[order[k - 1]] <= n:
-                k -= 1
-            sums, h = [s[:k] for s in sums], h[:k]
-        rows = starts[:k] + n
-        theta = thetas[rows]
-        sums, F_replay = form.advance(sums, theta, loss.grad(theta), n)
-        out[out_starts[:k] + n] = np.max(np.abs(thetas[rows + 1] - theta + h * F_replay),
-                                         axis=1)
-    defects = [None] * len(runs)
-    for i, start in zip(order, out_starts):
-        defects[i] = out[start:start + lasts[i]]
+    h = np.array([[t.h] for t in runs])
+
+    def step(theta, n):
+        nonlocal sums
+        if n == 0:  # later, theta is the recorded iterate the last step returned
+            theta = thetas[starts]
+        following = thetas[starts + (n + 1)]
+        sums, F = form.advance(sums, theta, loss.grad(theta), n)
+        out[out_starts + n] = np.abs(following - theta + h * F).max(axis=1)
+        return following
+
+    def keep(stay):
+        nonlocal sums, h, starts, out_starts
+        sums, h = [s[stay] for s in sums], h[stay]
+        starts, out_starts = starts[stay], out_starts[stay]
+
+    drive(config, loss, step, {}, [t.h for t in runs], keep)
+    defects = np.split(out, np.cumsum(lengths - 1)[:-1])
     return defects[0] if single else defects

@@ -56,12 +56,12 @@ def perm_coefficients(beta: float, n: Optional[int] = None) -> PermutationCoeffi
 def epoch_corrections(family: MiniBatchFamily, beta: float, theta: ParamVector,
                       h: float, orders: np.ndarray) -> np.ndarray:
     """(S, d) epoch corrections, one per ordering in the rows of the (S, M)
-    array orders, for any family of row-wise gradient maps.
+    array orders, for any family of row-wise loss oracles.
 
     With F_s the contracted update at inner step s and W_p = sum_{s >= p} F_s,
     the correction of an ordering is h beta sum_p beta^(n-1-p) J_{order[p]} W_p.
-    The jvp is linear in its direction, so each batch's weighted windows are
-    summed first and its jvp applied once, to all orderings at once."""
+    The hvp is linear in its direction, so each batch's weighted windows are
+    summed first and its hvp applied once, to all orderings at once."""
     M = family.size
     n = M - 1
     rows = np.arange(orders.shape[0])
@@ -76,7 +76,7 @@ def epoch_corrections(family: MiniBatchFamily, beta: float, theta: ParamVector,
     windows = np.zeros((M, orders.shape[0], theta.size))
     for p in range(n):
         windows[orders[:, p], rows] += beta ** (n - 1 - p) * (prefix[n] - prefix[p])
-    return h * beta * sum(b.jvp(theta, w) for b, w in zip(family.batches, windows))
+    return h * beta * sum(b.hvp(theta, w) for b, w in zip(family.batches, windows))
 
 
 def expected_correction_exhaustive(family: MiniBatchFamily, beta: float,
@@ -107,7 +107,7 @@ def expected_correction_mc(family: MiniBatchFamily, beta: float, theta: ParamVec
 
 def batch_pair_expectations(family: MiniBatchFamily, theta: ParamVector
                             ) -> Tuple[np.ndarray, np.ndarray]:
-    """(E_eq, E_neq): componentwise expectations of jvp(g) over a uniform batch
+    """(E_eq, E_neq): componentwise expectations of hvp(g) over a uniform batch
     pair, split by whether the two draws are the same batch."""
     theta = as_param_vector(theta)
     M = family.size
@@ -116,8 +116,8 @@ def batch_pair_expectations(family: MiniBatchFamily, theta: ParamVector
     e_eq = np.zeros_like(theta)
     e_neq = np.zeros_like(theta)
     for i, b in enumerate(family.batches):
-        e_eq += b.jvp(theta, grads[i])
-        e_neq += b.jvp(theta, g_sum - grads[i])
+        e_eq += b.hvp(theta, grads[i])
+        e_neq += b.hvp(theta, g_sum - grads[i])
     return e_eq / M, e_neq / (M * (M - 1))
 
 

@@ -6,7 +6,9 @@ equal-momentum identity of the adaptive and sign-momentum corrections, the
 large-n mean drift of the mini-batch correction and its per-ordering
 evaluation, and a modified-equation field built from central differences.
 """
+import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional
 
 import numpy as np
@@ -134,14 +136,23 @@ def decaying_double_sum(rho1: float, rho2: float, n: int) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def _ema_lag_coefficient(beta: float, n: Optional[int]) -> float:
-    """bias(n) * sum_{k=1}^{n} k beta^k for a bias-corrected average:
-    beta/(1-beta) - (n+1) beta^(n+1)/(1-beta^(n+1)); limit beta/(1-beta)."""
+    """bias(n) * sum_{k=1}^{n} k beta^k for a bias-corrected average, i.e.
+    sum_{k<=n} k beta^k / sum_{i<=n} beta^i, summed in exact integers from
+    the float beta = m / q and rounded once; limit beta/(1-beta).  (The
+    closed form beta/(1-beta) - (n+1) beta^(n+1)/(1-beta^(n+1)) cancels at
+    small n: by 2.9e-11 relative at beta = 0.999, n = 1.)"""
     if beta == 0.0:
         return 0.0
     if n is None:
         return beta / (1.0 - beta)
-    return beta / (1.0 - beta) - (n + 1) * beta ** (n + 1) / (1.0 - beta ** (n + 1))
+    m, q = beta.as_integer_ratio()
+    num, den, mk = 0, 1, 1
+    for k in range(1, n + 1):
+        mk *= m
+        num, den = num * q + k * mk, den * q + mk
+    return float(Fraction(num, den))
 
 
 def correction_closed_adamw(spec: OptimizerSpec, loss: LossModel,
@@ -175,10 +186,8 @@ def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
     if n is not None and not spec.bias_correction:
         raise ValueError("finite-n closed form assumes bias-corrected averages")
     rho1, rho2 = spec.beta1, spec.beta2
-    if n is None:
-        coef = rho1 / (1.0 - rho2)
-    else:
-        coef = rho1 / (1.0 - rho2) - (n + 1) * rho2 ** n * rho1 / (1.0 - rho2 ** (n + 1))
+    # bias_value rho1/rho2 of the bias-corrected first slot times its lag
+    coef = rho1 / (1.0 - rho2) if n is None else rho1 / rho2 * _ema_lag_coefficient(rho2, n)
     form = momentum_form(spec)
     g = loss.grad(theta)
     kg = form.kgrad(-g)
@@ -213,7 +222,7 @@ def expected_drift_largen(family: MiniBatchFamily, beta: float, theta: ParamVect
     theta = as_param_vector(theta)
     gbar = family.mean.grad(theta)
     e_eq, _ = batch_pair_expectations(family, theta)
-    full_drift = family.mean.jvp(theta, gbar)
+    full_drift = family.mean.hvp(theta, gbar)
     noise_part = e_eq - full_drift
     c = h * (beta / (1.0 - beta) ** 3 * full_drift
              + beta / ((1.0 - beta) ** 2 * (1.0 + beta)) * noise_part)
@@ -235,7 +244,7 @@ def _correction_for_order(family: MiniBatchFamily, beta: float, theta: ParamVect
     c = np.zeros_like(theta)
     for k in range(n):
         S_k = prefix[n] - prefix[n - 1 - k]
-        c = c + beta ** k * family.batches[order[n - 1 - k]].jvp(theta, S_k)
+        c = c + beta ** k * family.batches[order[n - 1 - k]].hvp(theta, S_k)
     return h * beta * c
 
 

@@ -80,7 +80,6 @@ COMMAND_OF = {"optimizer.kind=adamw": ("minibatch-corr",
     ("run.theta0_scale=nan", "theta0_scale"),
     ("experiment.dt_ratio=0", "experiment.dt_ratio"),
     ("experiment.dt_ratio=2", "experiment.dt_ratio"),
-    ("experiment.n_max=-3", "experiment.n_max"),
     ("experiment.n_list=-1", "experiment.n_list"),
     ("experiment.fraction_min=nan", "experiment.fraction_min"),
     ("experiment.r2_min=1.5", "experiment.r2_min"),
@@ -452,6 +451,36 @@ STOCK_CONFIGS = {command: STOCK_HB_CFG.parent / f"{name}.cfg" for command, name 
     ("gradcheck", "logistic_gradcheck"))}
 # closeness needs a step past its 449-step burn-in at h = 3e-4
 SMALL_HORIZON = {"closeness": "0.15"}
+
+
+@pytest.mark.parametrize("command", sorted(STOCK_CONFIGS))
+def test_outputs_follow_the_naming_rule(command, tmp_path):
+    # <command>_<tag>_<hash>, with the hash of the config the manifest holds
+    from memlens.cli import config_hash, resolve_config
+    out = tmp_path / "out"
+    rc = run_cli(command, "--config", STOCK_CONFIGS[command], "--out-dir", out, "--jobs", 1,
+                 "--set", f"run.horizon={SMALL_HORIZON.get(command, '0.05')}")
+    assert rc in (0, 1)
+    digest = config_hash(resolve_config(str(out / "manifest.json")))
+    summaries = list(out.glob("*_summary.json"))
+    assert len(summaries) == 1
+    summary = json.loads(summaries[0].read_text())
+    assert summary["experiment"] == summaries[0].name[:-len("_summary.json")]
+    assert summary["config_hash"] == digest
+    csvs = list(out.glob("*.csv"))
+    assert len(csvs) == {"sweep": 2, "gradcheck": 0}.get(command, 1)
+    for stem in [summary["experiment"]] + [p.stem for p in csvs]:
+        assert stem.startswith(f"{command}_") and stem.endswith(f"_{digest}")
+    assert {p.name for p in out.iterdir()} == {"manifest.json", summaries[0].name,
+                                                *(p.name for p in csvs)}
+
+
+@pytest.mark.parametrize("command", ["sweep", "defect", "closeness", "ode-compare"])
+def test_empty_h_grid_exits_2_naming_it(command, tmp_path, capsys):
+    rc = run_cli(command, "--config", STOCK_CONFIGS[command], "--out-dir", tmp_path / "o",
+                 "--jobs", 1, "--set", "experiment.h_grid=")
+    assert rc == 2
+    assert "h_grid" in capsys.readouterr().err
 
 
 @st.composite

@@ -12,7 +12,7 @@ from memlens import (OptimizerSpec, RunConfig, build_modified_ode, integrate_rk4
 from memlens.core import floor_steps
 from memlens.losses import loss_from_config
 from memlens.memoryful import MomentumState, drive, momentum_form, stack_spec
-from memlens.memoryless import CorrectionVariant, MemorylessKind
+from memlens.memoryless import CorrectionVariant, MemorylessKind, one_step_defect
 
 from conftest import counting_loss, limit_specs, rel_linf
 
@@ -159,6 +159,48 @@ def test_exiting_rows_of_a_real_run_match_their_single_runs():
         single = run_memoryless(with_h(cfg, h), MemorylessKind.first())
         assert row.domain_exit == single.domain_exit and len(row) == len(single)
         assert rel_linf(row.iterates, single.iterates) <= 1e-13
+
+
+DEFECT_SPECS = [
+    OptimizerSpec.heavy_ball(1e-3, 0.9),
+    OptimizerSpec.adamw(1e-3, 0.9, 0.95, lam=0.1, eps=1e-4),
+    OptimizerSpec.lion_k(1e-3, 0.9, 0.95, lam=0.1, eps=1e-4, bias_correction=True),
+]
+
+
+@pytest.mark.parametrize("loss_id", sorted(FIXTURES))
+@pytest.mark.parametrize("spec", DEFECT_SPECS, ids=spec_id)
+def test_stacked_defect_replay_equals_single_replays(spec, loss_id):
+    # three runs of different lengths replayed as one stack: rows leave it at
+    # different steps, and each row's defects equal its replay alone.  A
+    # defect is theta(n+1) - theta(n) + h F, O(h) terms that cancel to O(h^3),
+    # so it is compared relative to the run's largest step: the stacked and
+    # single grads round differently, by 1e-19 absolute, which is 1e-8 of a
+    # 5e-11 defect but 1e-16 of the step
+    cfg, loss = fixture_config(loss_id, spec)
+    runs = RUNS["second-finite-n"](cfg, loss, HS)
+    stacked = one_step_defect(cfg, loss=loss, trajectory=runs)
+    assert len(stacked) == len(HS)
+    for h, run, defects in zip(HS, runs, stacked):
+        single = one_step_defect(with_h(cfg, h), loss=loss, trajectory=run)
+        assert len(defects) == len(single) == floor_steps(cfg.horizon, h)
+        step = np.max(np.abs(np.diff(run.iterates, axis=0)))
+        assert np.max(np.abs(defects - single)) <= 1e-13 * step
+
+
+def test_defect_replay_rejects_a_run_with_a_domain_exit():
+    # drive ends every row at floor(T/h), so a run cut short by a domain exit
+    # cannot be replayed
+    cfg = RunConfig(seed=7, dimension=2, horizon=4.0, loss_id="quadratic",
+                    loss_params={"eig_min": 1.0, "eig_max": 3.0, "domain_radius": 10.0},
+                    optimizer=OptimizerSpec.heavy_ball(1.0, 0.9))
+    runs = run_memoryless(cfg, MemorylessKind.second(), hs=[1.0, 0.02])
+    assert runs[0].domain_exit is not None and runs[1].domain_exit is None
+    with pytest.raises(ValueError, match="domain exit"):
+        one_step_defect(cfg, trajectory=runs)
+    with pytest.raises(ValueError, match="domain exit"):
+        one_step_defect(cfg, trajectory=runs[0])
+    assert len(one_step_defect(cfg, trajectory=runs[1])) == floor_steps(cfg.horizon, 0.02)
 
 
 @pytest.mark.parametrize("spec", limit_specs(), ids=spec_id)

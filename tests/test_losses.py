@@ -129,9 +129,9 @@ def test_minibatch_family_deterministic():
     b = make_minibatch_quadratics(5, 3, 0.3, seed=4)
     zero, eye = np.zeros(3), np.eye(3)
     for ba, bb in zip(a.batches, b.batches):
-        # grad(0) = -b_k and the jvp on the identity is A_k
+        # grad(0) = -b_k and the hvp on the identity is A_k
         assert np.array_equal(ba.grad(zero), bb.grad(zero))
-        assert np.array_equal(ba.jvp(zero, eye), bb.jvp(zero, eye))
+        assert np.array_equal(ba.hvp(zero, eye), bb.hvp(zero, eye))
 
 
 def test_loss_from_config_ids():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,21 @@ def test_non_finite_step_exits_unrecorded(bad_value):
 def test_eval_F_history_rejects_empty(quad4):
     with pytest.raises(ValueError, match="empty"):
         eval_F_history(OptimizerSpec.heavy_ball(1e-3, 0.5), quad4, HistoryBuffer())
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.99, 0.999])
+def test_lag_weights_match_exact_rationals(beta):
+    # the bias-corrected slot weight is the mean lag
+    # sum_{k<=n} k beta^k / sum_{i<=n} beta^i, summed here in exact integers
+    # from the float beta = m / q.  The closed form beta/(1-beta) - ... cancels
+    # at small n, by 1.3e-13 relative at beta = 0.99, n = 1
+    form = momentum_form(OptimizerSpec.adamw(1e-3, beta, beta, lam=0.1))
+    m, q = beta.as_integer_ratio()
+    num, den, mk = 0, 1, 1
+    for k in range(1, 501):
+        mk *= m
+        num, den = num * q + k * mk, den * q + mk
+        if k in (1, 2, 5, 50, 500):
+            exact = Fraction(num, den)
+            for got in form.lag_weights(k)[:2]:  # bias_value 1 in both moment slots
+                assert abs(Fraction(got) - exact) <= 1e-15 * exact

@@ -72,7 +72,7 @@ def test_two_batch_hand_enumeration():
     theta = np.array([0.2, -0.4, 1.0])
     h, beta = 1e-2, 0.6
     g = [b.grad(theta) for b in fam.batches]
-    hand = h * beta * (fam.batches[0].jvp(theta, g[0]) + fam.batches[1].jvp(theta, g[1])) / 2
+    hand = h * beta * (fam.batches[0].hvp(theta, g[0]) + fam.batches[1].hvp(theta, g[1])) / 2
     got = expected_correction_exhaustive(fam, beta, theta, h)
     assert np.max(np.abs(got - hand)) <= 1e-15
 
@@ -83,7 +83,7 @@ def test_identical_batches_reduce_to_full_batch_correction():
     h, beta = 1e-3, 0.7
     averaged = expected_correction_exhaustive(fam, beta, theta, h)
     spec = OptimizerSpec.heavy_ball(h, beta)
-    full = correction_bruteforce(spec, fam.mean_loss_model(), theta, fam.size - 1).vector
+    full = correction_bruteforce(spec, fam.mean, theta, fam.size - 1).vector
     assert np.max(np.abs(averaged - full)) <= 1e-13
 
 
@@ -105,7 +105,7 @@ def test_cross_pair_expectation_double_loop(family):
     for i in range(M):
         for j in range(M):
             if i != j:
-                direct += family.batches[i].jvp(theta, family.batches[j].grad(theta))
+                direct += family.batches[i].hvp(theta, family.batches[j].grad(theta))
     direct /= M * (M - 1)
     assert np.max(np.abs(e_neq - direct)) <= 1e-13
 
@@ -122,8 +122,8 @@ def test_pair_expectations_match_ordering_enumeration():
     acc_neq = np.zeros(2)
     count = 0
     for order in permutations(range(4)):
-        acc_eq += fam.batches[order[1]].jvp(theta, fam.batches[order[1]].grad(theta))
-        acc_neq += fam.batches[order[1]].jvp(theta, fam.batches[order[2]].grad(theta))
+        acc_eq += fam.batches[order[1]].hvp(theta, fam.batches[order[1]].grad(theta))
+        acc_neq += fam.batches[order[1]].hvp(theta, fam.batches[order[2]].grad(theta))
         count += 1
     assert np.max(np.abs(acc_eq / count - e_eq)) <= 1e-13
     assert np.max(np.abs(acc_neq / count - e_neq)) <= 1e-13
@@ -228,7 +228,7 @@ def test_single_order_correction_prefix_structure(family):
         for l in range(1, k + 2):
             for b in range(n - l + 1):
                 inner += beta ** b * G[order[n - l - b]]
-        literal += beta ** k * family.batches[order[n - 1 - k]].jvp(theta, inner)
+        literal += beta ** k * family.batches[order[n - 1 - k]].hvp(theta, inner)
     literal *= h * beta
     got = _correction_for_order(family, beta, theta, h, order)
     assert np.max(np.abs(got - literal)) <= 1e-13
