@@ -3,7 +3,7 @@ memoryless approximations with memory-correction terms, modified equations,
 and permutation-averaged mini-batch corrections, at desk scale."""
 
 from .core import (Kind, KSpec, OptimizerSpec, RunConfig,
-                   Trajectory, linf_distance, rng, smoothed_one_norm, softsign)
+                   Trajectory, rng, smoothed_one_norm, softsign)
 from .correction import (CorrectionTerm, Method, correction_bruteforce,
                          correction_closed, correction_closed_heavyball,
                          correction_contraction, modified_loss_heavyball)

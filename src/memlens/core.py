@@ -61,17 +61,6 @@ def softsign(v: ParamVector, eps: float) -> ParamVector:
     return v / np.sqrt(v * v + eps)
 
 
-def linf_distance(a: ParamVector, b: ParamVector) -> float:
-    """max_i |a_i - b_i|; lengths must agree."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))
-
-
 def floor_steps(T: float, h: float) -> int:
     """floor(T / h), guarded against T/h landing a few ulps below an integer."""
     return int(math.floor(T / h * (1.0 + 2.0 ** -40)))

@@ -183,26 +183,39 @@ class MomentumForm:
         return tuple(0.0 if s.beta == 0.0 else s.bias_value * _mean_lag(s.beta, n)
                      for s in self.slots)
 
+    def combined_weights(self, c: Sequence, w: Sequence):
+        """The slot weights w (floats, (K,) arrays or (B, 1) columns) as
+        slot_jvp combines them at momenta with scales c, before any vector
+        arithmetic: for the adaptive kinds (p(w), lead) with p the numerator
+        and lead = p(c_1 w - w_1 c), to which a gradient slot with the
+        denominator slot's weight and scale (beta1 = beta2) adds exactly 0;
+        for every other kind the one sum of the gradient-slot weights."""
+        k = self.spec.kind
+        if k in (Kind.ADAMW, Kind.NADAMW):
+            return self.numerator(w), self.numerator([wl * c[1] - w[1] * cl
+                                                      for wl, cl in zip(w, c)])
+        return w[0] if k is Kind.HEAVY_BALL else w[0] + w[1]
+
     def slot_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
                  m: List[np.ndarray], c: Sequence[float], weights, V: np.ndarray) -> np.ndarray:
         """sum_l (dQ/dm_l) J_l W_l at the momenta m = c * features, with J_l
         the Jacobian of slot l's feature and W_l its window: weights[l] * V for
         one window (weights Q floats), sum_k weights[k, l] V[k] for K windows
         (weights a (K, Q) array); row-wise over a (B, d) stack.  The scalar
-        weights are combined before any vector arithmetic, so the slots share
-        one hvp (two for K windows of an adaptive kind).  There, with p the
-        numerator and den^2 = m_1 + eps, the term is
+        weights are combined before any vector arithmetic (combined_weights),
+        so the slots share one hvp (two for K windows of an adaptive kind).
+        There, with p the numerator and den^2 = m_1 + eps, the term is
         (H(sum_k lead_k V_k) g^2 + eps H(sum_k p(w_k) V_k)) / den^3 + W_2 with
         lead_k = c_1 p(w_k) - p(c) w_k1, exactly 0 for AdamW at beta1 = beta2,
         where the chain rule's O(1) numerator and denominator terms would
-        cancel to O(eps / den^2)."""
+        cancel to O(eps / den^2) (for NAdamW only its plain-gradient term
+        remains)."""
         one = not isinstance(weights, np.ndarray)
         w = weights if one else weights.T
         k = self.spec.kind
         if k in (Kind.ADAMW, Kind.NADAMW):
             eps = self.spec.eps
-            pw = self.numerator(w)
-            lead = pw * c[1] - w[1] * self.numerator(c)
+            pw, lead = self.combined_weights(c, w)
             den2 = m[1] + eps
             if one:
                 return loss.hvp(theta, V) * (lead * (g * g) + pw * eps) \
@@ -210,8 +223,7 @@ class MomentumForm:
             return (loss.hvp(theta, np.tensordot(lead, V, 1)) * (g * g)
                     + eps * loss.hvp(theta, np.tensordot(pw, V, 1))) \
                 / (den2 * np.sqrt(den2)) + np.tensordot(w[2], V, 1)
-        # every other kind's gradient slots enter Q through one sum
-        s = w[0] if k is Kind.HEAVY_BALL else w[0] + w[1]
+        s = self.combined_weights(c, w)
         hv = s * loss.hvp(theta, V) if one else loss.hvp(theta, np.tensordot(s, V, 1))
         if k is Kind.LION_K:
             # Q = -kgrad(m_0 + m_1) + m_2, with -grad features in m_0, m_1
@@ -220,14 +232,55 @@ class MomentumForm:
         return hv
 
     def limit_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
-                  scales: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-        """(F, slot_jvp with the one window F and weights scales) at the
+                  weights: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+        """(F, slot_jvp with the one window F and the given weights) at the
         large-n momenta, where F is the large-n contracted update: one hvp.
-        The second term is linear in scales; with scales = limit_scales it is
-        the Jacobian of the large-n contracted update applied to F."""
-        m = self.contracted_momenta(theta, g, None)
-        F = self.output(m)
-        return F, self.slot_jvp(loss, theta, g, m, self.limit_scales, scales, F)
+        The second term is linear in the weights; with weights = limit_scales
+        it is the Jacobian of the large-n contracted update applied to F."""
+        return self.limit_pass(weights)(loss, theta, g)
+
+    def limit_pass(self, weights: Sequence) -> Callable:
+        """limit_jvp at fixed weights (floats, or (B, 1) columns for per-row
+        weights over a (B, d) stack) as a function of (loss, theta, g).  The
+        kind and the scalar weight algebra are resolved here, once; a call
+        computes each vector intermediate once, F with the operations of
+        output(contracted_momenta(theta, g, None)), so bitwise."""
+        c, w, k = self.limit_scales, weights, self.spec.kind
+        if k in (Kind.ADAMW, Kind.NADAMW):
+            # c[-1] is NAdamW's plain-gradient slot
+            eps, b1, c0, c1, c2, c3, w2 = self.spec.eps, self.spec.beta1, *c[:3], c[-1], w[2]
+            pw, lead = self.combined_weights(c, w)
+            pw_eps, nadam = pw * eps, k is Kind.NADAMW
+
+            def adaptive(loss, theta, g):
+                gg = g * g
+                den2 = c1 * gg + eps
+                den = np.sqrt(den2)
+                p = b1 * (c0 * g) + (1.0 - b1) * (c3 * g) if nadam else c0 * g
+                F = p / den + c2 * theta
+                return F, loss.hvp(theta, F) * (lead * gg + pw_eps) / (den2 * den) + w2 * F
+            return adaptive
+        s = self.combined_weights(c, w)
+        if k is Kind.LION_K:
+            # the -grad features of m_0 and m_1 folded into their scales, exactly
+            n0, n1, c2, w2, eps = -c[0], -c[1], c[2], w[2], self.spec.eps
+            smooth = self.spec.kspec is not KSpec.HALF_SQUARED_TWO_NORM
+
+            def lion(loss, theta, g):
+                x = n0 * g + n1 * g
+                if not smooth:  # kgrad(x) = x and khess_diag(x) = 1
+                    F = c2 * theta - x
+                    return F, s * loss.hvp(theta, F) + w2 * F
+                q = x * x + eps
+                F = c2 * theta - x / np.sqrt(q)
+                return F, eps / q ** 1.5 * (s * loss.hvp(theta, F)) + w2 * F
+            return lion
+        c0, c1, nesterov = c[0], c[-1], k is Kind.NESTEROV
+
+        def momentum(loss, theta, g):
+            F = c0 * g + c1 * g if nesterov else c0 * g
+            return F, s * loss.hvp(theta, F)
+        return momentum
 
     def advance(self, sums: List[np.ndarray], theta: ParamVector, g: ParamVector, n: int):
         """Step n of the raw exponential sums: returns (sums, F^(n))."""

@@ -7,7 +7,12 @@ G1 = -F, where F is the large-n contracted update, and
 G2 = -(c/h + grad(G1) G1 / 2), where c is the large-n memory correction.  Both
 terms of G2 are the momentum slots' Jacobian (MomentumForm.slot_jvp) applied
 to the one window F, with per-slot weights lag_scales (c/h) and limit_scales
-(grad(F) F), so one grad and one hvp give F and G2 together.
+(grad(F) F), so one grad and one hvp give F and G2 together.  That Jacobian is
+linear in its weights, so the right-hand side G1 + h*G2 = jvp(-h * weights) - F
+is one pass of MomentumForm.limit_pass with h (a per-row column for a stack of
+flows) and the sign folded into the slot weights: no separate G2, no h*G2
+product and no negation.  The RK4 constants dt, dt/2 and dt/6 are per-row
+columns, computed once per set of rows.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import numpy as np
 from .core import OptimizerSpec, ParamVector, RunConfig
 from .harness import SweepReport, _assemble_report, _gap_points, n_burn_steps
 from .losses import LossModel, loss_from_config
-from .memoryful import drive, momentum_form, run_memoryful, stack_spec
+from .memoryful import MomentumForm, drive, momentum_form, run_memoryful, stack_spec
 from .memoryless import CorrectionVariant, MemorylessKind, run_memoryless
 
 DT_RATIO_DEFAULT = 8  # RK4 substeps per h
@@ -33,15 +38,46 @@ class ModifiedODE:
     order in h.  field(theta) returns (G1, G2) from one evaluation at a
     validated parameter vector, row-wise over a (B, d) stack; rhs is the
     integrator's hot path.  h is a float, or the (B, 1) column of a stack of
-    flows."""
+    flows.  A field built by build_modified_ode also gives rhs in one pass,
+    with h folded into its slot weights when the ODE is made (and again by
+    dataclasses.replace, which a stack uses as rows leave); for any other
+    field rhs is G1 + h*G2."""
 
     field: Callable[[ParamVector], Tuple[np.ndarray, np.ndarray]]
     h: Union[float, np.ndarray]
     meta: dict = dc_field(default_factory=dict)
 
+    def __post_init__(self):
+        self._flow = self.field.flow(self.h) if isinstance(self.field, _FormField) else None
+
     def rhs(self, theta: ParamVector) -> np.ndarray:
+        if self._flow is not None:
+            return self._flow(theta)
         g1, g2 = self.field(theta)
         return g1 + self.h * g2
+
+
+@dataclass(frozen=True)
+class _FormField:
+    """The field of a momentum form: G1 = -F and G2 = -limit_jvp(F) with the
+    slot weights scales, so flow(h) is G1 + h*G2 = limit_jvp(-h * scales) - F,
+    one grad and one hvp per call."""
+
+    form: MomentumForm
+    loss: LossModel
+    scales: Tuple[float, ...]
+
+    def __call__(self, theta):
+        F, jvp = self.form.limit_jvp(self.loss, theta, self.loss.grad(theta), self.scales)
+        return -F, -jvp
+
+    def flow(self, h):
+        limit_pass, loss = self.form.limit_pass(tuple(-h * s for s in self.scales)), self.loss
+
+        def rhs(theta):
+            F, jvp = limit_pass(loss, theta, loss.grad(theta))
+            return jvp - F
+        return rhs
 
 
 def build_modified_ode(spec: OptimizerSpec, loss: LossModel) -> ModifiedODE:
@@ -49,16 +85,13 @@ def build_modified_ode(spec: OptimizerSpec, loss: LossModel) -> ModifiedODE:
     contracted update and c the large-n memory correction, taken from the
     momentum form in one pass: one grad and one hvp give F and, since
     limit_jvp (slot_jvp on the window F) is linear in its slot weights,
-    G2 = -limit_jvp with weights lag_scales + limit_scales / 2.  Neither depends on h, so a spec whose h
-    is a column gives the flows of a stack."""
+    G2 = -limit_jvp with weights lag_scales + limit_scales / 2.  Neither
+    depends on h, so a spec whose h is a column gives the flows of a stack;
+    rhs folds h into those weights."""
     form = momentum_form(spec)
     scales = tuple(a + 0.5 * b for a, b in zip(form.lag_scales, form.limit_scales))
-
-    def field(theta):
-        F, jvp = form.limit_jvp(loss, theta, loss.grad(theta), scales)
-        return -F, -jvp
-
-    return ModifiedODE(field=field, h=spec.h, meta={"kind": spec.kind.value})
+    return ModifiedODE(field=_FormField(form, loss, scales), h=spec.h,
+                       meta={"kind": spec.kind.value})
 
 
 def integrate_rk4(config: RunConfig, loss: LossModel, odesys: ModifiedODE,
@@ -67,24 +100,32 @@ def integrate_rk4(config: RunConfig, loss: LossModel, odesys: ModifiedODE,
     dt = h / dt_ratio per sample, sampled at t = n*h by memoryful.drive: one
     sample is one step, so a flow ends and leaves the domain by the driver's
     rules.  odesys.h is config.optimizer.h (one flow, a Trajectory), or the
-    (B, 1) column of a stack (a list with one Trajectory per row)."""
+    (B, 1) column of a stack (a list with one Trajectory per row).  The
+    stage constants dt, dt/2 and dt/6 are then per-row columns, computed
+    once and again only when rows leave the stack."""
     if dt_ratio < 4:  # integrator error must stay far below the O(h^2) gaps
         raise ValueError(f"dt_ratio must be >= 4, got {dt_ratio}")
-    ode, dt = odesys, odesys.h / dt_ratio  # rebound as rows leave
-    rhs = (lambda th: ode.rhs(th)) if include_g2 else (lambda th: ode.field(th)[0])
+
+    def stages(ode):
+        dt = ode.h / dt_ratio
+        return (ode.rhs if include_g2 else lambda th: ode.field(th)[0]), dt, 0.5 * dt, dt / 6.0
+
+    ode = odesys  # rebound as rows leave, with the stage constants
+    rhs, dt, half, sixth = stages(ode)
 
     def step(theta, n):
         for _ in range(dt_ratio):
             k1 = rhs(theta)
-            k2 = rhs(theta + 0.5 * dt * k1)
-            k3 = rhs(theta + 0.5 * dt * k2)
+            k2 = rhs(theta + half * k1)
+            k3 = rhs(theta + half * k2)
             k4 = rhs(theta + dt * k3)
-            theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            theta = theta + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return theta
 
     def keep(stay):
-        nonlocal ode, dt
-        ode, dt = replace(ode, h=ode.h[stay]), dt[stay]
+        nonlocal ode, rhs, dt, half, sixth
+        ode = replace(ode, h=ode.h[stay])
+        rhs, dt, half, sixth = stages(ode)
 
     hs = None if np.ndim(odesys.h) == 0 else np.reshape(odesys.h, -1)
     return drive(config, loss, step, odesys.meta, hs, keep)

@@ -5,6 +5,7 @@ the adaptive and sign-momentum kinds, a literal decaying double sum, the
 equal-momentum identity of the adaptive and sign-momentum corrections, the
 large-n mean drift of the mini-batch correction and its per-ordering
 evaluation, and a modified-equation field built from central differences.
+Also the inf-norm distance the tests measure with.
 """
 import functools
 from dataclasses import dataclass, field
@@ -14,12 +15,23 @@ from typing import List, Optional
 import numpy as np
 
 from memlens.core import (Kind, OptimizerSpec, ParamVector, RunConfig, Trajectory,
-                          as_param_vector, linf_distance, softsign)
+                          as_param_vector, softsign)
 from memlens.correction import correction_closed
 from memlens.losses import LossModel, MiniBatchFamily, loss_from_config
 from memlens.memoryful import drive, momentum_form
 from memlens.minibatch import batch_pair_expectations
 from memlens.ode import ModifiedODE
+
+
+def linf_distance(a: ParamVector, b: ParamVector) -> float:
+    """max_i |a_i - b_i|; lengths must agree."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b)))
 
 
 # -- the history engine -------------------------------------------------------

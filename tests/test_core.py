@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlens import Kind, KSpec, OptimizerSpec, RunConfig, linf_distance, rng
+from memlens import Kind, KSpec, OptimizerSpec, RunConfig, rng
 from memlens.core import as_param_vector, smoothed_one_norm, softsign
+
+from oracles import linf_distance
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 

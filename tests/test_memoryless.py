@@ -3,14 +3,14 @@ import time
 import numpy as np
 import pytest
 
-from memlens import (OptimizerSpec, RunConfig, linf_distance, loss_from_config,
+from memlens import (OptimizerSpec, RunConfig, loss_from_config,
                      one_step_defect, run_memoryful, run_memoryless, step_memoryless)
 from memlens import correction
 from memlens.correction import correction_closed
 from memlens.memoryless import CorrectionVariant, MemorylessKind, Order
 
 from conftest import counting_loss, limit_specs
-from oracles import adamw_memoryless_reference, lion_eps_memoryless_reference
+from oracles import adamw_memoryless_reference, lion_eps_memoryless_reference, linf_distance
 
 def quad_config(spec, d=4, T=0.3, seed=5):
     return RunConfig(seed=seed, dimension=d, horizon=T, loss_id="quadratic",

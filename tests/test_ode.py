@@ -3,13 +3,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from memlens import (OptimizerSpec, RunConfig, build_modified_ode,
-                     compare_discrete_vs_ode, integrate_rk4, make_quadratic)
+from memlens import (Kind, OptimizerSpec, RunConfig, build_modified_ode,
+                     compare_discrete_vs_ode, integrate_rk4, loss_from_config,
+                     make_quadratic)
+from memlens.core import floor_steps
 from memlens.correction import correction_closed
-from memlens.memoryful import momentum_form
+from memlens.memoryful import momentum_form, stack_spec
 from memlens.ode import ModifiedODE
 
-from conftest import counting_loss, limit_specs, random_spd, rel_linf
+from conftest import (counting_loss, equal_momentum_specs, limit_specs, random_spd,
+                      rel_linf, spec_id)
 from oracles import fd_modified_ode
 
 
@@ -85,10 +88,84 @@ def test_rhs_makes_one_grad_and_one_hvp(rng):
     counting, counts = counting_loss(make_quadratic(random_spd(4, rng),
                                                     rng.standard_normal(4)))
     for spec in limit_specs(1e-2):
-        ode = build_modified_ode(spec, counting)
+        for rows, stacked in ((None, spec), (3, stack_spec(spec, [1e-2, 5e-3, 2.5e-3]))):
+            ode = build_modified_ode(stacked, counting)
+            counts.clear()
+            ode.rhs(rng.standard_normal(4 if rows is None else (rows, 4)))
+            assert counts == Counter(grad=1, hvp=1), (spec, rows)
+
+
+@pytest.mark.parametrize("spec", limit_specs(1e-2), ids=spec_id)
+def test_rk4_stack_makes_four_grads_and_hvps_per_substep(spec):
+    # one stacked rhs per RK4 stage: 4 * dt_ratio grad and hvp calls per
+    # sample of the longest row, whatever the rows' h, and no loss value
+    hs = [1e-2, 5e-3, 2.5e-3]
+    cfg = RunConfig(seed=3, dimension=4, horizon=0.05, loss_id="quadratic",
+                    loss_params={"eig_min": 0.1, "eig_max": 1.0}, optimizer=spec)
+    loss, counts = counting_loss(loss_from_config(cfg.loss_id, cfg.loss_params,
+                                                  cfg.dimension, cfg.seed))
+    odesys = build_modified_ode(stack_spec(spec, hs), loss)
+    for dt_ratio in (4, 8):
         counts.clear()
-        ode.rhs(rng.standard_normal(4))
-        assert counts == Counter(grad=1, hvp=1), spec
+        flows = integrate_rk4(cfg, loss, odesys, dt_ratio)
+        samples = max(len(flow.iterates) - 1 for flow in flows)
+        assert samples == floor_steps(cfg.horizon, min(hs))
+        assert counts == Counter(grad=4 * dt_ratio * samples, hvp=4 * dt_ratio * samples)
+
+
+# -- the one-pass right-hand side ---------------------------------------------
+
+ONE_PASS_SPECS = limit_specs(1e-2) + equal_momentum_specs(1e-2)
+
+
+@pytest.mark.parametrize("spec", ONE_PASS_SPECS, ids=spec_id)
+def test_limit_pass_evaluates_the_generic_output_map(spec, quad4, logistic6, rng):
+    # the specialised expressions of limit_jvp give bitwise the F of
+    # contracted_F and the slot_jvp of the generic momenta, for one point and
+    # for a stack, at the limit scales and at other weights
+    form = momentum_form(spec)
+    weights = tuple(rng.uniform(-2.0, 2.0, size=len(form.slots)))
+    for loss, d in ((quad4, 4), (logistic6, 6)):
+        for theta in (rng.standard_normal(d), rng.standard_normal((3, d))):
+            g = loss.grad(theta)
+            m = form.contracted_momenta(theta, g, None)
+            for w in (form.limit_scales, weights):
+                F, jvp = form.limit_jvp(loss, theta, g, w)
+                assert np.array_equal(F, form.contracted_F(loss, theta, None, g)), w
+                assert np.array_equal(jvp, form.slot_jvp(loss, theta, g, m,
+                                                         form.limit_scales, w, F)), w
+
+
+@pytest.mark.parametrize("spec", ONE_PASS_SPECS, ids=spec_id)
+def test_stacked_rhs_equals_each_rows_field(spec, quad4, logistic6, rng):
+    # h folded into the slot weights of a (B, 1) column: each row is that
+    # row's G1 + h_i * G2
+    hs = [1e-2, 3e-3, 7e-4]
+    for loss, d in ((quad4, 4), (logistic6, 6)):
+        ode = build_modified_ode(stack_spec(spec, hs), loss)
+        theta = rng.standard_normal((len(hs), d))
+        rhs = ode.rhs(theta)
+        for i, h in enumerate(hs):
+            g1, g2 = ode.field(theta[i])
+            assert rel_linf(rhs[i], g1 + h * g2) <= 1e-15, h
+
+
+@pytest.mark.parametrize("spec", equal_momentum_specs(1e-2), ids=spec_id)
+def test_folded_lead_weight_at_equal_momenta(spec, quad4):
+    # at beta1 = beta2 the numerator and denominator slots of AdamW carry equal
+    # scales and equal folded weights, so lead = c_1 p(w) - p(c) w_1 is exactly
+    # 0 in every row and nothing cancels in the slot Jacobian; NAdamW keeps
+    # only the genuine term of its plain-gradient slot, (1 - beta1)(w_3 c_1 - w_1 c_3)
+    h = np.array([[1e-2], [3e-3], [7e-4]])
+    ode = build_modified_ode(stack_spec(spec, h.ravel()), quad4)
+    form = momentum_form(spec)
+    c = form.limit_scales
+    w = tuple(-h * s for s in ode.field.scales)
+    _, lead = form.combined_weights(c, w)
+    if spec.kind is Kind.ADAMW:
+        assert np.all(lead == 0.0)
+    else:
+        assert np.array_equal(lead, (1.0 - spec.beta1) * (w[3] * c[1] - w[1] * c[3]))
 
 
 def test_rk4_matches_exact_linear_flow(rng):
