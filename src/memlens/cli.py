@@ -332,6 +332,17 @@ def _fit_gates(resolved, report: SweepReport, slope_name, r2_name, window):
             _gate(r2_name, report.r2, report.r2 >= exp["r2_min"], f">= {exp['r2_min']}")]
 
 
+def _require_steps(config, grid, least=1, why="a run must step past theta^(0)"):
+    """Raises a ConfigError naming run.horizon and the first h of grid at
+    which floor(T/h) is below least, so that no command gates runs that
+    compared nothing."""
+    for h in grid:
+        steps = floor_steps(config.horizon, h)
+        if steps < least:
+            raise ConfigError(f"run.horizon={config.horizon} gives {steps} steps at h={h}, "
+                              f"fewer than {least}: {why}")
+
+
 def _finish(out_dir: Path, command: str, resolved: dict, tag: str, csvs: dict,
             gates: list, fields: dict) -> int:
     """Writes a command's outputs, each named <command>_<tag>_<hash> with the
@@ -362,6 +373,7 @@ def _finish(out_dir: Path, command: str, resolved: dict, tag: str, csvs: dict,
 # _finish to write.
 
 def cmd_run(resolved, config):
+    _require_steps(config, [config.optimizer.h])
     traj = run_memoryful(config)
     kind = config.optimizer.kind.value
     gates = [_gate("clean-run", traj.domain_exit if traj.domain_exit is not None else "none",
@@ -373,6 +385,7 @@ def cmd_run(resolved, config):
 def cmd_sweep(resolved, config):
     exp = resolved["experiment"]
     grid = exp["h_grid"]
+    _require_steps(config, grid)
     second = MemorylessKind.second(CorrectionVariant(exp["correction_variant"]))
     kinds = {"both": [second, MemorylessKind.first()], "second": [second],
              "first": [MemorylessKind.first()]}[exp["order"]]
@@ -392,6 +405,7 @@ def cmd_sweep(resolved, config):
 
 
 def cmd_defect(resolved, config):
+    _require_steps(config, resolved["experiment"]["h_grid"])
     report, details = defect_sweep(config, resolved["experiment"]["h_grid"])
     rows = [[p.h, n, dval] for p in report.points for n, dval in enumerate(details[p.h])]
     rows.append(["slope", "", report.slope])
@@ -406,12 +420,8 @@ def cmd_closeness(resolved, config):
     grid = exp["h_grid"]
     tol = exp["burn_in_tol"]
     n_burn = n_burn_steps(config.optimizer, tol)
-    for h in grid:
-        steps = floor_steps(config.horizon, h)
-        if steps < n_burn:  # the ordering gate needs a step past the burn-in
-            raise ConfigError(f"run.horizon={config.horizon} gives {steps} steps at h={h}, "
-                              f"fewer than the {n_burn}-step burn-in "
-                              f"(experiment.burn_in_tol={tol})")
+    _require_steps(config, grid, max(n_burn, 1), f"the {n_burn}-step burn-in of "
+                   f"experiment.burn_in_tol={tol}, and at least one step")
     data = trajectory_closeness(config, grid)
     rows, gates = [], []
     fr_min = exp["fraction_min"]
@@ -433,6 +443,7 @@ def cmd_closeness(resolved, config):
 
 def cmd_ode_compare(resolved, config):
     exp = resolved["experiment"]
+    _require_steps(config, exp["h_grid"])
     report = compare_discrete_vs_ode(config, exp["h_grid"], dt_ratio=exp["dt_ratio"],
                                      target=exp["ode_target"])
     rows = [[p.h, p.metric, "ok" if p.valid else p.note] for p in report.points]

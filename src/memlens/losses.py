@@ -69,8 +69,8 @@ def make_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
     """Mean logistic loss over rows of X with labels +-1, plus ridge*||theta||^2/2."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError("X must be (m, d) with matching labels")
+    if X.ndim != 2 or X.shape[0] < 1 or y.shape != (X.shape[0],):
+        raise ValueError("X must be (m, d) with m >= 1 and matching labels")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +-1")
     if not 0.0 <= ridge < math.inf:
@@ -211,6 +211,8 @@ def loss_from_config(loss_id: str, params: dict, dimension: int, seed: int) -> L
         loss = make_quadratic(A, b, domain_radius=radius)
     elif loss_id == "logistic":
         m = int(params.pop("points", 200))
+        if m < 1:
+            raise ValueError(f"logistic needs points >= 1, got {m}")
         ridge = float(params.pop("ridge", 0.0))
         g = rng(seed, "logistic-fixture")
         X = g.standard_normal((m, dimension)) / np.sqrt(dimension)

@@ -128,11 +128,6 @@ class MomentumForm:
             return x
         return x / np.sqrt(x * x + self.spec.eps)
 
-    def khess_diag(self, x: np.ndarray) -> np.ndarray:
-        if self.spec.kspec is KSpec.HALF_SQUARED_TWO_NORM:
-            return np.ones_like(x)
-        return self.spec.eps / (x * x + self.spec.eps) ** 1.5
-
     def numerator(self, x: Sequence) -> np.ndarray:
         """The adaptive kinds' numerator, linear in the gradient slots: x_0 for
         AdamW, beta1 x_0 + (1-beta1) x_3 for NAdamW."""
@@ -153,10 +148,6 @@ class MomentumForm:
 
     # -- contracted evaluation (all history arguments equal) ----------------
 
-    def contracted_momenta(self, theta: ParamVector, g: ParamVector,
-                           n: Optional[int]) -> List[np.ndarray]:
-        return [c * f for c, f in zip(self.scales(n), self.feature_values(theta, g))]
-
     def scales(self, n: Optional[int]) -> Tuple[float, ...]:
         """bias_l(n) * sum_{k=0}^{n} beta_l^k per slot, the coefficient of
         slot l's feature in its contracted momentum; n None gives limit_scales."""
@@ -169,7 +160,7 @@ class MomentumForm:
         """F^(n) with every history argument replaced by theta; n None => limit."""
         if g is None:
             g = loss.grad(theta)
-        return self.output(self.contracted_momenta(theta, g, n))
+        return self.output([c * f for c, f in zip(self.scales(n), self.feature_values(theta, g))])
 
     def lag_weights(self, n: Optional[int]) -> Tuple[float, ...]:
         """bias_l(n) * sum_{k=1}^{n} k beta_l^k per slot, the weights of the
@@ -185,7 +176,7 @@ class MomentumForm:
 
     def combined_weights(self, c: Sequence, w: Sequence):
         """The slot weights w (floats, (K,) arrays or (B, 1) columns) as
-        slot_jvp combines them at momenta with scales c, before any vector
+        jvp_pass combines them at momenta with scales c, before any vector
         arithmetic: for the adaptive kinds (p(w), lead) with p the numerator
         and lead = p(c_1 w - w_1 c), to which a gradient slot with the
         denominator slot's weight and scale (beta1 = beta2) adds exactly 0;
@@ -196,91 +187,89 @@ class MomentumForm:
                                                       for wl, cl in zip(w, c)])
         return w[0] if k is Kind.HEAVY_BALL else w[0] + w[1]
 
-    def slot_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
-                 m: List[np.ndarray], c: Sequence[float], weights, V: np.ndarray) -> np.ndarray:
-        """sum_l (dQ/dm_l) J_l W_l at the momenta m = c * features, with J_l
-        the Jacobian of slot l's feature and W_l its window: weights[l] * V for
-        one window (weights Q floats), sum_k weights[k, l] V[k] for K windows
-        (weights a (K, Q) array); row-wise over a (B, d) stack.  The scalar
-        weights are combined before any vector arithmetic (combined_weights),
-        so the slots share one hvp (two for K windows of an adaptive kind).
-        There, with p the numerator and den^2 = m_1 + eps, the term is
+    def jvp_pass(self, c: Sequence[float], weights) -> Callable:
+        """fn(loss, theta, g, V=None) -> (F, jvp) at the momenta m = c * features
+        (c is scales(n) or limit_scales), row-wise over a (B, d) stack.  F is
+        output(m), computed with its operations, so bitwise; jvp is
+        sum_l (dQ/dm_l) J_l W_l with J_l the Jacobian of slot l's feature and
+        W_l its window: weights[l] * V for one window (weights Q floats, or
+        (B, 1) columns for per-row weights; V None is the window F), or
+        sum_k weights[k, l] V[k] for K windows (weights a (K, Q) table).
+
+        The kind, the window count and the scalar weights (combined_weights)
+        are resolved here, once, so a call computes each vector intermediate
+        once and the slots share one hvp (two for K windows of an adaptive
+        kind).  There, with p the numerator and den^2 = m_1 + eps, the term is
         (H(sum_k lead_k V_k) g^2 + eps H(sum_k p(w_k) V_k)) / den^3 + W_2 with
         lead_k = c_1 p(w_k) - p(c) w_k1, exactly 0 for AdamW at beta1 = beta2,
         where the chain rule's O(1) numerator and denominator terms would
         cancel to O(eps / den^2) (for NAdamW only its plain-gradient term
         remains)."""
-        one = not isinstance(weights, np.ndarray)
-        w = weights if one else weights.T
-        k = self.spec.kind
-        if k in (Kind.ADAMW, Kind.NADAMW):
-            eps = self.spec.eps
-            pw, lead = self.combined_weights(c, w)
-            den2 = m[1] + eps
-            if one:
-                return loss.hvp(theta, V) * (lead * (g * g) + pw * eps) \
-                    / (den2 * np.sqrt(den2)) + w[2] * V
-            return (loss.hvp(theta, np.tensordot(lead, V, 1)) * (g * g)
-                    + eps * loss.hvp(theta, np.tensordot(pw, V, 1))) \
-                / (den2 * np.sqrt(den2)) + np.tensordot(w[2], V, 1)
-        s = self.combined_weights(c, w)
-        hv = s * loss.hvp(theta, V) if one else loss.hvp(theta, np.tensordot(s, V, 1))
-        if k is Kind.LION_K:
-            # Q = -kgrad(m_0 + m_1) + m_2, with -grad features in m_0, m_1
-            return self.khess_diag(m[0] + m[1]) * hv \
-                + (w[2] * V if one else np.tensordot(w[2], V, 1))
-        return hv
+        k, eps, many = self.spec.kind, self.spec.eps, isinstance(weights, np.ndarray)
+        w = weights.T if many else weights
+        if many:  # each slot's weights combine its K windows before any hvp
+            lin = functools.partial(np.tensordot, axes=1)
 
-    def limit_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
-                  weights: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        """(F, slot_jvp with the one window F and the given weights) at the
-        large-n momenta, where F is the large-n contracted update: one hvp.
-        The second term is linear in the weights; with weights = limit_scales
-        it is the Jacobian of the large-n contracted update applied to F."""
-        return self.limit_pass(weights)(loss, theta, g)
+            def hv(loss, theta, a, V):
+                return loss.hvp(theta, lin(a, V))
+        else:
+            lin = np.multiply
 
-    def limit_pass(self, weights: Sequence) -> Callable:
-        """limit_jvp at fixed weights (floats, or (B, 1) columns for per-row
-        weights over a (B, d) stack) as a function of (loss, theta, g).  The
-        kind and the scalar weight algebra are resolved here, once; a call
-        computes each vector intermediate once, F with the operations of
-        output(contracted_momenta(theta, g, None)), so bitwise."""
-        c, w, k = self.limit_scales, weights, self.spec.kind
+            def hv(loss, theta, a, V):
+                return a * loss.hvp(theta, V)
         if k in (Kind.ADAMW, Kind.NADAMW):
             # c[-1] is NAdamW's plain-gradient slot
-            eps, b1, c0, c1, c2, c3, w2 = self.spec.eps, self.spec.beta1, *c[:3], c[-1], w[2]
+            b1, c0, c1, c2, c3, w2 = self.spec.beta1, *c[:3], c[-1], w[2]
             pw, lead = self.combined_weights(c, w)
-            pw_eps, nadam = pw * eps, k is Kind.NADAMW
+            nadam = k is Kind.NADAMW
+            if many:
+                def part(loss, theta, gg, V):
+                    return hv(loss, theta, lead, V) * gg + eps * hv(loss, theta, pw, V)
+            else:
+                pw_eps = pw * eps
 
-            def adaptive(loss, theta, g):
+                def part(loss, theta, gg, V):
+                    return loss.hvp(theta, V) * (lead * gg + pw_eps)
+
+            def adaptive(loss, theta, g, V=None):
                 gg = g * g
                 den2 = c1 * gg + eps
                 den = np.sqrt(den2)
                 p = b1 * (c0 * g) + (1.0 - b1) * (c3 * g) if nadam else c0 * g
                 F = p / den + c2 * theta
-                return F, loss.hvp(theta, F) * (lead * gg + pw_eps) / (den2 * den) + w2 * F
+                X = F if V is None else V
+                return F, part(loss, theta, gg, X) / (den2 * den) + lin(w2, X)
             return adaptive
         s = self.combined_weights(c, w)
         if k is Kind.LION_K:
             # the -grad features of m_0 and m_1 folded into their scales, exactly
-            n0, n1, c2, w2, eps = -c[0], -c[1], c[2], w[2], self.spec.eps
+            n0, n1, c2, w2 = -c[0], -c[1], c[2], w[2]
             smooth = self.spec.kspec is not KSpec.HALF_SQUARED_TWO_NORM
 
-            def lion(loss, theta, g):
+            def lion(loss, theta, g, V=None):
                 x = n0 * g + n1 * g
-                if not smooth:  # kgrad(x) = x and khess_diag(x) = 1
+                if not smooth:  # kgrad(x) = x, and K's Hessian diagonal is 1
                     F = c2 * theta - x
-                    return F, s * loss.hvp(theta, F) + w2 * F
+                    X = F if V is None else V
+                    return F, hv(loss, theta, s, X) + lin(w2, X)
                 q = x * x + eps
                 F = c2 * theta - x / np.sqrt(q)
-                return F, eps / q ** 1.5 * (s * loss.hvp(theta, F)) + w2 * F
+                X = F if V is None else V
+                return F, eps / q ** 1.5 * hv(loss, theta, s, X) + lin(w2, X)
             return lion
         c0, c1, nesterov = c[0], c[-1], k is Kind.NESTEROV
 
-        def momentum(loss, theta, g):
+        def momentum(loss, theta, g, V=None):
             F = c0 * g + c1 * g if nesterov else c0 * g
-            return F, s * loss.hvp(theta, F)
+            return F, hv(loss, theta, s, F if V is None else V)
         return momentum
+
+    def limit_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
+                  weights: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+        """jvp_pass at the large-n scales on the one window F: (F, jvp), one
+        hvp.  With weights = limit_scales, jvp is the Jacobian of the large-n
+        contracted update applied to F."""
+        return self.jvp_pass(self.limit_scales, weights)(loss, theta, g)
 
     def advance(self, sums: List[np.ndarray], theta: ParamVector, g: ParamVector, n: int):
         """Step n of the raw exponential sums: returns (sums, F^(n))."""

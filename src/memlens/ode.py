@@ -5,19 +5,19 @@ and the discrete-versus-continuous gap swept over h.
 
 G1 = -F, where F is the large-n contracted update, and
 G2 = -(c/h + grad(G1) G1 / 2), where c is the large-n memory correction.  Both
-terms of G2 are the momentum slots' Jacobian (MomentumForm.slot_jvp) applied
-to the one window F, with per-slot weights lag_scales (c/h) and limit_scales
-(grad(F) F), so one grad and one hvp give F and G2 together.  That Jacobian is
-linear in its weights, so the right-hand side G1 + h*G2 = jvp(-h * weights) - F
-is one pass of MomentumForm.limit_pass with h (a per-row column for a stack of
-flows) and the sign folded into the slot weights: no separate G2, no h*G2
-product and no negation.  The RK4 constants dt, dt/2 and dt/6 are per-row
-columns, computed once per set of rows.
+terms of G2 are the momentum slots' Jacobian applied to the one window F,
+with per-slot weights lag_scales (c/h) and limit_scales / 2 (grad(F) F / 2),
+so one MomentumForm.jvp_pass (one grad, one hvp) gives F and G2 together.
+That Jacobian is linear in its weights, so the right-hand side
+G1 + h*G2 = jvp(-h * weights) - F is one pass with h (a per-row column for a
+stack of flows) and the sign folded into the slot weights: no separate G2,
+no h*G2 product and no negation.  The RK4 constants dt, dt/2 and dt/6 are
+per-row columns, computed once per set of rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,64 +34,39 @@ ODE_TARGETS = ("memoryless-asymptotic", "memoryless-finite-n", "memoryful")
 
 @dataclass(eq=False)
 class ModifiedODE:
-    """theta' = G1(theta) + h*G2(theta), matching one discrete step to third
-    order in h.  field(theta) returns (G1, G2) from one evaluation at a
-    validated parameter vector, row-wise over a (B, d) stack; rhs is the
-    integrator's hot path.  h is a float, or the (B, 1) column of a stack of
-    flows.  A field built by build_modified_ode also gives rhs in one pass,
-    with h folded into its slot weights when the ODE is made (and again by
-    dataclasses.replace, which a stack uses as rows leave); for any other
-    field rhs is G1 + h*G2."""
+    """theta' = G1(theta) + h*G2(theta) of a momentum form, matching one
+    discrete step to third order in h.  field(theta) returns (G1, G2) and
+    rhs(theta), the integrator's hot path, G1 + h*G2, each from one grad and
+    one hvp, row-wise over a (B, d) stack.  h is a float, or the (B, 1)
+    column of a stack of flows.  The G2 slot weights, and for rhs their
+    product with -h, are resolved into two passes when the ODE is made, and
+    again by dataclasses.replace, which a stack uses as rows leave."""
 
-    field: Callable[[ParamVector], Tuple[np.ndarray, np.ndarray]]
+    form: MomentumForm
+    loss: LossModel
     h: Union[float, np.ndarray]
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self._flow = self.field.flow(self.h) if isinstance(self.field, _FormField) else None
+        c = self.form.limit_scales
+        weights = tuple(a + 0.5 * b for a, b in zip(self.form.lag_scales, c))
+        self._g2 = self.form.jvp_pass(c, weights)
+        self._flow = self.form.jvp_pass(c, tuple(-self.h * w for w in weights))
 
-    def rhs(self, theta: ParamVector) -> np.ndarray:
-        if self._flow is not None:
-            return self._flow(theta)
-        g1, g2 = self.field(theta)
-        return g1 + self.h * g2
-
-
-@dataclass(frozen=True)
-class _FormField:
-    """The field of a momentum form: G1 = -F and G2 = -limit_jvp(F) with the
-    slot weights scales, so flow(h) is G1 + h*G2 = limit_jvp(-h * scales) - F,
-    one grad and one hvp per call."""
-
-    form: MomentumForm
-    loss: LossModel
-    scales: Tuple[float, ...]
-
-    def __call__(self, theta):
-        F, jvp = self.form.limit_jvp(self.loss, theta, self.loss.grad(theta), self.scales)
+    def field(self, theta: ParamVector):
+        F, jvp = self._g2(self.loss, theta, self.loss.grad(theta))
         return -F, -jvp
 
-    def flow(self, h):
-        limit_pass, loss = self.form.limit_pass(tuple(-h * s for s in self.scales)), self.loss
-
-        def rhs(theta):
-            F, jvp = limit_pass(loss, theta, loss.grad(theta))
-            return jvp - F
-        return rhs
+    def rhs(self, theta: ParamVector) -> np.ndarray:
+        F, jvp = self._flow(self.loss, theta, self.loss.grad(theta))
+        return jvp - F
 
 
 def build_modified_ode(spec: OptimizerSpec, loss: LossModel) -> ModifiedODE:
-    """G1 = -F and G2 = -(c/h + grad(G1) G1 / 2), with F the large-n
-    contracted update and c the large-n memory correction, taken from the
-    momentum form in one pass: one grad and one hvp give F and, since
-    limit_jvp (slot_jvp on the window F) is linear in its slot weights,
-    G2 = -limit_jvp with weights lag_scales + limit_scales / 2.  Neither
-    depends on h, so a spec whose h is a column gives the flows of a stack;
-    rhs folds h into those weights."""
-    form = momentum_form(spec)
-    scales = tuple(a + 0.5 * b for a, b in zip(form.lag_scales, form.limit_scales))
-    return ModifiedODE(field=_FormField(form, loss, scales), h=spec.h,
-                       meta={"kind": spec.kind.value})
+    """The modified equation of spec's momentum form on loss.  Its G2 weights
+    do not depend on h, so a spec whose h is a column gives the flows of a
+    stack."""
+    return ModifiedODE(momentum_form(spec), loss, spec.h, {"kind": spec.kind.value})
 
 
 def integrate_rk4(config: RunConfig, loss: LossModel, odesys: ModifiedODE,

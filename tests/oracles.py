@@ -10,17 +10,16 @@ Also the inf-norm distance the tests measure with.
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from memlens.core import (Kind, OptimizerSpec, ParamVector, RunConfig, Trajectory,
+from memlens.core import (Kind, KSpec, OptimizerSpec, ParamVector, RunConfig, Trajectory,
                           as_param_vector, softsign)
 from memlens.correction import correction_closed
 from memlens.losses import LossModel, MiniBatchFamily, loss_from_config
 from memlens.memoryful import drive, momentum_form
 from memlens.minibatch import batch_pair_expectations
-from memlens.ode import ModifiedODE
 
 
 def linf_distance(a: ParamVector, b: ParamVector) -> float:
@@ -203,7 +202,10 @@ def correction_closed_lionk(spec: OptimizerSpec, loss: LossModel,
     form = momentum_form(spec)
     g = loss.grad(theta)
     kg = form.kgrad(-g)
-    return -spec.h * coef * form.khess_diag(-g) * loss.hvp(theta, kg - spec.lam * theta)
+    # K's Hessian diagonal: 1 for the half squared two-norm, else eps / (g^2 + eps)^1.5
+    khess = (1.0 if spec.kspec is KSpec.HALF_SQUARED_TWO_NORM
+             else spec.eps / (g * g + spec.eps) ** 1.5)
+    return -spec.h * coef * khess * loss.hvp(theta, kg - spec.lam * theta)
 
 
 def correction_signum_adam_identity_check(beta: float, loss: LossModel,
@@ -263,9 +265,10 @@ def _correction_for_order(family: MiniBatchFamily, beta: float, theta: ParamVect
 # -- modified equation ------------------------------------------------------------
 
 
-def fd_modified_ode(spec: OptimizerSpec, loss: LossModel, fd_step: float = 1e-6) -> ModifiedODE:
-    """The modified equation assembled term by term: c from correction_closed
-    and grad(G1) G1 by central differences of the large-n contracted update."""
+def fd_modified_ode(spec: OptimizerSpec, loss: LossModel, fd_step: float = 1e-6) -> Callable:
+    """The field theta -> (G1, G2) of the modified equation assembled term by
+    term: c from correction_closed and grad(G1) G1 by central differences of
+    the large-n contracted update."""
     form = momentum_form(spec)
 
     def F_limit(theta):
@@ -278,4 +281,4 @@ def fd_modified_ode(spec: OptimizerSpec, loss: LossModel, fd_step: float = 1e-6)
         c = correction_closed(spec, loss, theta, None).vector
         return -F, -(c / spec.h + 0.5 * jac)
 
-    return ModifiedODE(field=field, h=spec.h, meta={"kind": spec.kind.value})
+    return field

@@ -475,6 +475,26 @@ def test_outputs_follow_the_naming_rule(command, tmp_path):
                                                 *(p.name for p in csvs)}
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "defect", "ode-compare"])
+def test_zero_step_horizon_exits_2_naming_it(command, tmp_path, capsys):
+    # floor(T/h) = 0 compares nothing past theta^(0), so no gate may pass on it
+    out = tmp_path / "o"
+    rc = run_cli(command, "--config", STOCK_CONFIGS[command], "--out-dir", out, "--jobs", 1,
+                 "--set", "run.horizon=1e-6")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "run.horizon=1e-06 gives 0 steps at h=0.01" in err
+    assert not list(out.glob("*_summary.json"))
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_empty_logistic_data_exits_2_naming_points(points, tmp_path, capsys):
+    rc = run_cli("run", "--config", STOCK_CONFIGS["gradcheck"], "--out-dir", tmp_path / "o",
+                 "--jobs", 1, "--set", f"loss.points={points}")
+    assert rc == 2
+    assert f"points >= 1, got {points}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["sweep", "defect", "closeness", "ode-compare"])
 def test_empty_h_grid_exits_2_naming_it(command, tmp_path, capsys):
     rc = run_cli(command, "--config", STOCK_CONFIGS[command], "--out-dir", tmp_path / "o",

@@ -177,7 +177,7 @@ def test_routes_make_one_hvp_per_window(spec, quad4, rng):
 def test_slot_jvp_matches_central_differences(spec, quad4, logistic6, rng):
     # with the step-n slot scales as weights, the slot Jacobian applied to one
     # window is the Jacobian of the contracted update F^(n); as one window
-    # and as a stack of one, against central differences (criterion 9's
+    # and as a K = 1 table, against central differences (criterion 9's
     # step and tolerance)
     form = momentum_form(spec)
     worst = 0.0
@@ -186,12 +186,11 @@ def test_slot_jvp_matches_central_differences(spec, quad4, logistic6, rng):
         g = loss.grad(theta)
         for n in (1, 7, 60):
             c = form.scales(n)
-            m = form.contracted_momenta(theta, g, n)
             fd = (form.contracted_F(loss, theta + FD_STEP_DEFAULT * V, n)
                   - form.contracted_F(loss, theta - FD_STEP_DEFAULT * V, n)) \
                 / (2.0 * FD_STEP_DEFAULT)
-            for got in (form.slot_jvp(loss, theta, g, m, c, c, V),
-                        form.slot_jvp(loss, theta, g, m, c, np.array([c]), V[None])):
+            for got in (form.jvp_pass(c, c)(loss, theta, g, V)[1],
+                        form.jvp_pass(c, np.array([c]))(loss, theta, g, V[None])[1]):
                 denom = np.maximum(np.abs(got), FD_ABS_FLOOR)
                 worst = max(worst, float(np.max(np.abs(fd - got) / denom)))
     assert worst <= 1e-5

@@ -38,6 +38,8 @@ def test_logistic_values(rng):
     assert loss.value(np.zeros(4)) == pytest.approx(np.log(2.0), abs=1e-15)
     with pytest.raises(ValueError, match="labels"):
         make_logistic(X, np.zeros(30))
+    with pytest.raises(ValueError, match="m >= 1"):
+        make_logistic(X[:0], y[:0])
 
 
 def test_logistic_separable_margin_grad_vanishes():

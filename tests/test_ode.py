@@ -9,7 +9,6 @@ from memlens import (Kind, OptimizerSpec, RunConfig, build_modified_ode,
 from memlens.core import floor_steps
 from memlens.correction import correction_closed
 from memlens.memoryful import momentum_form, stack_spec
-from memlens.ode import ModifiedODE
 
 from conftest import (counting_loss, equal_momentum_specs, limit_specs, random_spd,
                       rel_linf, spec_id)
@@ -64,7 +63,7 @@ def test_analytic_vs_fd_jacobian(rng):
         ode_a = build_modified_ode(spec, loss)
         ode_f = fd_modified_ode(spec, loss)
         theta = rng.standard_normal(4)
-        assert rel_linf(ode_a.field(theta)[1], ode_f.field(theta)[1]) <= 1e-6
+        assert rel_linf(ode_a.field(theta)[1], ode_f(theta)[1]) <= 1e-6
 
 
 def test_fused_field_matches_unfused_terms(rng):
@@ -120,20 +119,40 @@ ONE_PASS_SPECS = limit_specs(1e-2) + equal_momentum_specs(1e-2)
 
 @pytest.mark.parametrize("spec", ONE_PASS_SPECS, ids=spec_id)
 def test_limit_pass_evaluates_the_generic_output_map(spec, quad4, logistic6, rng):
-    # the specialised expressions of limit_jvp give bitwise the F of
-    # contracted_F and the slot_jvp of the generic momenta, for one point and
-    # for a stack, at the limit scales and at other weights
+    # the specialised expressions of jvp_pass give bitwise the F of
+    # contracted_F, at the large-n and at finite-n scales, for one point and
+    # for a stack, with one window and with K windows
     form = momentum_form(spec)
-    weights = tuple(rng.uniform(-2.0, 2.0, size=len(form.slots)))
     for loss, d in ((quad4, 4), (logistic6, 6)):
         for theta in (rng.standard_normal(d), rng.standard_normal((3, d))):
             g = loss.grad(theta)
-            m = form.contracted_momenta(theta, g, None)
-            for w in (form.limit_scales, weights):
-                F, jvp = form.limit_jvp(loss, theta, g, w)
-                assert np.array_equal(F, form.contracted_F(loss, theta, None, g)), w
-                assert np.array_equal(jvp, form.slot_jvp(loss, theta, g, m,
-                                                         form.limit_scales, w, F)), w
+            V = rng.standard_normal((2,) + theta.shape)
+            for n in (None, 1, 7, 60):
+                c = form.scales(n)
+                want = form.contracted_F(loss, theta, n, g)
+                assert np.array_equal(form.jvp_pass(c, c)(loss, theta, g)[0], want), n
+                F, _ = form.jvp_pass(c, np.array([c, c]))(loss, theta, g, V)
+                assert np.array_equal(F, want), n
+
+
+@pytest.mark.parametrize("spec", ONE_PASS_SPECS, ids=spec_id)
+def test_k_window_pass_sums_one_window_passes(spec, quad4, logistic6, rng):
+    # the slot Jacobian is linear in its windows: K windows with a (K, Q)
+    # weight table give the sum of K one-window passes, at the large-n and at
+    # finite-n scales, for one point and for a stack
+    form = momentum_form(spec)
+    K = 5
+    for loss, d in ((quad4, 4), (logistic6, 6)):
+        for theta in (rng.standard_normal(d), rng.standard_normal((3, d))):
+            g = loss.grad(theta)
+            V = rng.standard_normal((K,) + theta.shape)
+            table = rng.uniform(-2.0, 2.0, size=(K, len(form.slots)))
+            for n in (None, 1, 7, 60):
+                c = form.scales(n)
+                _, many = form.jvp_pass(c, table)(loss, theta, g, V)
+                one = sum(form.jvp_pass(c, tuple(w))(loss, theta, g, v)[1]
+                          for w, v in zip(table, V))
+                assert rel_linf(many, one) <= 1e-13, n
 
 
 @pytest.mark.parametrize("spec", ONE_PASS_SPECS, ids=spec_id)
@@ -157,10 +176,10 @@ def test_folded_lead_weight_at_equal_momenta(spec, quad4):
     # 0 in every row and nothing cancels in the slot Jacobian; NAdamW keeps
     # only the genuine term of its plain-gradient slot, (1 - beta1)(w_3 c_1 - w_1 c_3)
     h = np.array([[1e-2], [3e-3], [7e-4]])
-    ode = build_modified_ode(stack_spec(spec, h.ravel()), quad4)
     form = momentum_form(spec)
     c = form.limit_scales
-    w = tuple(-h * s for s in ode.field.scales)
+    # the G2 weights lag_scales + limit_scales / 2 with -h folded in, as rhs takes them
+    w = tuple(-h * (a + 0.5 * b) for a, b in zip(form.lag_scales, c))
     _, lead = form.combined_weights(c, w)
     if spec.kind is Kind.ADAMW:
         assert np.all(lead == 0.0)
@@ -169,20 +188,22 @@ def test_folded_lead_weight_at_equal_momenta(spec, quad4):
 
 
 def test_rk4_matches_exact_linear_flow(rng):
-    # theta' = -(A theta - b) has the closed-form solution through the
-    # eigendecomposition of A
+    # gradient descent's modified equation on a quadratic,
+    # theta' = -(I + h A / 2)(A theta - b), has the closed-form solution through
+    # the eigendecomposition of A, with rates w (1 + h w / 2)
     A = random_spd(3, rng)
     b = rng.standard_normal(3)
     loss = make_quadratic(A, b)
     theta0 = rng.standard_normal(3)
     h, T = 1e-2, 1.0
-    ode = ModifiedODE(field=lambda th: (-(th @ A - b), np.zeros(3)), h=h)
+    ode = build_modified_ode(OptimizerSpec.heavy_ball(h, 0.0), loss)
     flow = integrate_rk4(rk4_config(theta0, T, h), loss, ode, dt_ratio=8).iterates
     w, V = np.linalg.eigh(A)
+    rates = w * (1.0 + 0.5 * h * w)
     fixed_point = np.linalg.solve(A, b)
     for n in (10, 50, 100):
         t = n * h
-        exact = fixed_point + V @ (np.exp(-w * t) * (V.T @ (theta0 - fixed_point)))
+        exact = fixed_point + V @ (np.exp(-rates * t) * (V.T @ (theta0 - fixed_point)))
         assert np.max(np.abs(flow[n] - exact)) <= 1e-10
 
 
