@@ -167,7 +167,7 @@ SCHEMA = {
         "gradcheck_tol": Key(float, 1e-5, "relative error gate for gradcheck (dimensionless)",
                              _positive, "finite and > 0"),
         "burn_in_tol": Key(float, 1e-10, "coefficient tail defining the burn-in cutoff",
-                           _positive, "finite and > 0"),
+                           lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     },
 }
 

@@ -82,7 +82,10 @@ def _assemble_report(points: List[SweepPoint], runs: List[Trajectory]) -> SweepR
 
 
 def n_burn_steps(spec: OptimizerSpec, tol: float = 1e-10) -> int:
-    """Steps until every n-dependent coefficient is within tol of its limit."""
+    """Steps until every n-dependent coefficient is within tol of its limit;
+    tol lies in (0, 1)."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"burn-in tol must lie in (0, 1), got {tol}")
     betas = [s.beta for s in momentum_form(spec).slots if s.beta > 0.0]
     if not betas:
         return 0
@@ -128,20 +131,19 @@ def global_error_sweep(config: RunConfig, h_grid: Sequence[float], kind: Memoryl
 
 def defect_sweep(config: RunConfig, h_grid: Sequence[float]):
     """Sup over n of the one-step defect per h; returns (report, {h: defects}).
-    The second-order runs of every h, and their replay, each run as one stack."""
+    The second-order runs of every h run as one stack, and the defect reads
+    each run that stayed in the domain."""
     h_grid = [float(h) for h in h_grid]
     loss = loss_from_config(config.loss_id, config.loss_params, config.dimension, config.seed)
     runs = run_memoryless(config, MemorylessKind.second(), loss=loss, hs=h_grid)
-    clean = [t for t in runs if t.domain_exit is None]
-    defects = iter(one_step_defect(config, loss=loss, trajectory=clean) if clean else [])
     points, details = [], {}
-    for h, traj in zip(h_grid, runs):
-        if traj.domain_exit is not None:
+    for h, run in zip(h_grid, runs):
+        if run.domain_exit is not None:
             points.append(SweepPoint(h=h, metric=float("nan"), valid=False,
                                      note="domain-exit"))
             details[h] = np.array([])
             continue
-        details[h] = next(defects)
+        details[h] = one_step_defect(config.optimizer, loss, run)
         points.append(SweepPoint(h=h, metric=float(np.max(details[h]))))
     return _assemble_report(points, runs), details
 

@@ -8,6 +8,7 @@ vector, given a (B, d) stack of points (and directions) it returns B of them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -210,7 +211,7 @@ def loss_from_config(loss_id: str, params: dict, dimension: int, seed: int) -> L
         b = g.standard_normal(dimension)
         loss = make_quadratic(A, b, domain_radius=radius)
     elif loss_id == "logistic":
-        m = int(params.pop("points", 200))
+        m = _integer(params, "points", 200)
         if m < 1:
             raise ValueError(f"logistic needs points >= 1, got {m}")
         ridge = float(params.pop("ridge", 0.0))
@@ -224,11 +225,8 @@ def loss_from_config(loss_id: str, params: dict, dimension: int, seed: int) -> L
             raise ValueError("quartic is a d = 1 fixture")
         a = float(params.pop("a", 1.0))
         loss = make_scalar_quartic(a, domain_radius=radius)
-    elif loss_id == "minibatch-quadratic":
-        count = int(params.pop("count", 6))
-        spread = float(params.pop("spread", 0.3))
-        family = make_minibatch_quadratics(count, dimension, spread, seed)
-        loss = replace(family.mean, domain_radius=radius)
+    elif loss_id == "minibatch-quadratic":  # family_from_config checks the parameters
+        return replace(family_from_config(params, dimension, seed).mean, domain_radius=radius)
     else:
         raise ValueError(f"unknown loss id: {loss_id!r}")
     if params:
@@ -239,8 +237,17 @@ def loss_from_config(loss_id: str, params: dict, dimension: int, seed: int) -> L
 def family_from_config(params: dict, dimension: int, seed: int) -> MiniBatchFamily:
     params = dict(params)
     params.pop("domain_radius", None)
-    count = int(params.pop("count", 6))
+    count = _integer(params, "count", 6)
     spread = float(params.pop("spread", 0.3))
     if params:
         raise ValueError(f"unknown loss parameter(s) for minibatch-quadratic: {sorted(params)}")
     return make_minibatch_quadratics(count, dimension, spread, seed)
+
+
+def _integer(params: dict, key: str, default: int) -> int:
+    """params.pop(key, default) as an int; a value that is not a finite
+    integral number is an error naming the key."""
+    value = params.pop(key, default)
+    if not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValueError(f"loss.{key} must be an integer, got {value!r}")
+    return int(value)

@@ -1,20 +1,20 @@
 """Memoryless iterations: the first-order step (contracted update only) and
 the second-order step (contracted update plus memory correction), together
-with the one-step defect that plugs memoryless iterates back into the
+with the one-step defect that feeds a recorded run's iterates back into the
 memoryful update.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import OptimizerSpec, ParamVector, RunConfig, Trajectory, floor_steps
 from .correction import correction_closed
 from .losses import LossModel, loss_from_config
-from .memoryful import MomentumState, drive, momentum_form, stack_spec
+from .memoryful import drive, momentum_form, stack_spec
 
 
 class Order(enum.Enum):
@@ -93,53 +93,21 @@ def run_memoryless(config: RunConfig, kind: MemorylessKind,
     return drive(config, loss, step, meta, hs, keep)
 
 
-def one_step_defect(config: RunConfig, loss: Optional[LossModel] = None,
-                    trajectory: Union[Trajectory, Sequence[Trajectory], None] = None):
-    """Residuals from feeding second-order memoryless iterates into the
-    memoryful update: defect_n = || theta~(n+1) - theta~(n) + h F^(n)(theta~(n..0)) ||_inf.
+def one_step_defect(spec: OptimizerSpec, loss: LossModel, run: Trajectory) -> np.ndarray:
+    """Residuals from feeding a run's iterates into the memoryful update:
+    defect_n = || theta~(n+1) - theta~(n) + h F^(n)(theta~(n..0)) ||_inf, one per step.
 
-    Third order in h, uniformly over the horizon.  trajectory is one whole
-    run of config's optimizer (the default: its second-order run) or a list
-    of them at their own h; a run with a domain exit is an error.  drive
-    replays them as one stack, whose step advances the memoryful sums at each
-    row's recorded iterate and returns the recorded next one.  The result is
-    one array of defects per run.
-    """
-    if loss is None:
-        loss = loss_from_config(config.loss_id, config.loss_params,
-                                config.dimension, config.seed)
-    if trajectory is None:
-        trajectory = run_memoryless(config, MemorylessKind.second(), loss=loss)
-    single = isinstance(trajectory, Trajectory)
-    runs = [trajectory] if single else list(trajectory)
-    for t in runs:
-        if t.domain_exit is not None or len(t) != floor_steps(config.horizon, t.h) + 1:
-            raise ValueError(f"the run at h={t.h} is not whole (domain exit: {t.domain_exit})")
-    thetas = np.concatenate([t.iterates for t in runs])
-    lengths = np.array([len(t) for t in runs])
-    # where the stack's rows start in thetas, and their defects in out (a run
-    # has one defect fewer than iterates); keep drops the rows that leave
-    starts = np.cumsum(lengths) - lengths
-    out_starts = starts - np.arange(len(runs))
-    out = np.empty(len(thetas) - len(runs))
-    form = momentum_form(config.optimizer)
-    sums = MomentumState.fresh(form, (len(runs), thetas.shape[1])).sums
-    h = np.array([[t.h] for t in runs])
-
-    def step(theta, n):
-        nonlocal sums
-        if n == 0:  # later, theta is the recorded iterate the last step returned
-            theta = thetas[starts]
-        following = thetas[starts + (n + 1)]
-        sums, F = form.advance(sums, theta, loss.grad(theta), n)
-        out[out_starts + n] = np.abs(following - theta + h * F).max(axis=1)
-        return following
-
-    def keep(stay):
-        nonlocal sums, h, starts, out_starts
-        sums, h = [s[stay] for s in sums], h[stay]
-        starts, out_starts = starts[stay], out_starts[stay]
-
-    drive(config, loss, step, {}, [t.h for t in runs], keep)
-    defects = np.split(out, np.cumsum(lengths - 1)[:-1])
-    return defects[0] if single else defects
+    Third order in h, uniformly over the horizon, for a second-order run.
+    run is one whole run of spec's optimizer at run.h; a run cut short by a
+    domain exit is an error.  One grad call over its iterates feeds the
+    memoryful engine's own MomentumForm.advance."""
+    if run.domain_exit is not None or len(run) != floor_steps(run.T, run.h) + 1:
+        raise ValueError(f"the run at h={run.h} is not whole (domain exit: {run.domain_exit})")
+    theta = run.iterates
+    grads = loss.grad(theta[:-1])
+    form = momentum_form(spec)
+    sums = [0.0] * len(form.slots)
+    F = np.empty_like(grads)
+    for n in range(len(grads)):
+        sums, F[n] = form.advance(sums, theta[n], grads[n], n)
+    return np.abs(theta[1:] - theta[:-1] + run.h * F).max(axis=1)

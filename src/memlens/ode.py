@@ -77,13 +77,15 @@ def integrate_rk4(config: RunConfig, loss: LossModel, odesys: ModifiedODE,
     rules.  odesys.h is config.optimizer.h (one flow, a Trajectory), or the
     (B, 1) column of a stack (a list with one Trajectory per row).  The
     stage constants dt, dt/2 and dt/6 are then per-row columns, computed
-    once and again only when rows leave the stack."""
+    once and again only when rows leave the stack.  Without include_g2 the
+    flow is theta' = G1 = -F, one grad and no hvp per stage."""
     if dt_ratio < 4:  # integrator error must stay far below the O(h^2) gaps
         raise ValueError(f"dt_ratio must be >= 4, got {dt_ratio}")
 
     def stages(ode):
         dt = ode.h / dt_ratio
-        return (ode.rhs if include_g2 else lambda th: ode.field(th)[0]), dt, 0.5 * dt, dt / 6.0
+        rhs = ode.rhs if include_g2 else lambda th: -ode.form.contracted_F(ode.loss, th, None)
+        return rhs, dt, 0.5 * dt, dt / 6.0
 
     ode = odesys  # rebound as rows leave, with the stage constants
     rhs, dt, half, sixth = stages(ode)

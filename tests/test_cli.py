@@ -69,8 +69,11 @@ def test_unknown_override_key_named(sweep_cfg, tmp_path, capsys):
 
 
 STOCK_HB_CFG = Path(__file__).resolve().parents[1] / "configs" / "heavyball_sweep.cfg"
-COMMAND_OF = {"optimizer.kind=adamw": ("minibatch-corr",
-                                       STOCK_HB_CFG.parent / "minibatch_perm.cfg")}
+MINIBATCH = ("minibatch-corr", STOCK_HB_CFG.parent / "minibatch_perm.cfg")
+GRADCHECK = ("gradcheck", STOCK_HB_CFG.parent / "logistic_gradcheck.cfg")
+COMMAND_OF = {"optimizer.kind=adamw": MINIBATCH,
+              "loss.points=inf": GRADCHECK, "loss.points=2.5": GRADCHECK,
+              "loss.count=inf": MINIBATCH, "loss.count=2.5": MINIBATCH}
 
 
 @pytest.mark.parametrize("override,key", [
@@ -85,6 +88,11 @@ COMMAND_OF = {"optimizer.kind=adamw": ("minibatch-corr",
     ("experiment.r2_min=1.5", "experiment.r2_min"),
     ("experiment.corr_tol=0", "experiment.corr_tol"),
     ("experiment.burn_in_tol=inf", "experiment.burn_in_tol"),
+    ("experiment.burn_in_tol=10", "experiment.burn_in_tol"),
+    ("loss.points=inf", "loss.points"),
+    ("loss.points=2.5", "loss.points"),
+    ("loss.count=inf", "loss.count"),
+    ("loss.count=2.5", "loss.count"),
     ("experiment.samples=99", "experiment.samples"),
     ("experiment.correction_variant=bogus", "experiment.correction_variant"),
     ("experiment.ode_target=bogus", "experiment.ode_target"),
@@ -93,7 +101,8 @@ COMMAND_OF = {"optimizer.kind=adamw": ("minibatch-corr",
     ("optimizer.kind=adamw", "optimizer.kind"),
 ])
 def test_bad_value_exits_2_naming_key(override, key, sweep_cfg, tmp_path, capsys):
-    # minibatch-corr evaluates only the heavy-ball correction
+    # minibatch-corr evaluates only the heavy-ball correction; a loss size is
+    # read by its loss alone (int() truncated 2.5 and overflowed on inf)
     command, cfg = COMMAND_OF.get(override, ("sweep", sweep_cfg))
     rc = run_cli(command, "--config", cfg, "--out-dir", tmp_path / "o",
                  "--jobs", 1, "--set", override)
@@ -434,6 +443,7 @@ OVERRIDE_VALUES = {
     "run.seed": "3", "run.dimension": "3", "run.horizon": "0.01",
     "run.theta0": "ones", "run.theta0_scale": "0.5",
     "loss.eig_min": "0.5", "loss.eig_max": "2", "loss.domain_radius": "50",
+    "loss.points": "30", "loss.count": "4", "loss.ridge": "0.01", "loss.spread": "0.2",
     "optimizer.kind": "nesterov", "optimizer.h": "1e-2", "optimizer.beta1": "0.5",
     "optimizer.beta2": "0.9", "optimizer.lambda": "0.1", "optimizer.eps": "1e-4",
     "optimizer.bias_correction": "true",

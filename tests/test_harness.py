@@ -108,6 +108,13 @@ def test_n_burn_steps():
     assert nb2 == int(np.ceil(np.log(1e-10) / np.log(0.95)))
 
 
+@pytest.mark.parametrize("tol", [0.0, 1.0, 10.0, float("nan")])
+def test_n_burn_steps_rejects_a_tol_outside_the_unit_interval(tol):
+    # log(tol) >= 0 would give a burn-in of zero or fewer steps
+    with pytest.raises(ValueError, match="burn-in tol"):
+        n_burn_steps(OptimizerSpec.heavy_ball(1e-2, 0.9), tol=tol)
+
+
 def test_sweep_domain_exit_excluded_from_fit():
     # the largest steps blow out of a tight domain; those points are recorded
     # as invalid and the fit uses the survivors

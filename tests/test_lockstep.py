@@ -2,6 +2,7 @@
 index and differ in h equals its single-row run, a row leaves the stack by
 drive's exit rules without disturbing the others, and a stacked step calls
 only the oracles it reads."""
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from memlens.memoryful import MomentumState, drive, momentum_form, stack_spec
 from memlens.memoryless import CorrectionVariant, MemorylessKind, one_step_defect
 
 from conftest import counting_loss, limit_specs, rel_linf
+from oracles import HistoryBuffer, eval_F_history
 
 HS = [4e-3, 2e-3, 1e-3]
 FIXTURES = {"quadratic": ({"eig_min": 0.5, "eig_max": 2.0}, 4),
@@ -170,37 +172,50 @@ DEFECT_SPECS = [
 
 @pytest.mark.parametrize("loss_id", sorted(FIXTURES))
 @pytest.mark.parametrize("spec", DEFECT_SPECS, ids=spec_id)
-def test_stacked_defect_replay_equals_single_replays(spec, loss_id):
-    # three runs of different lengths replayed as one stack: rows leave it at
-    # different steps, and each row's defects equal its replay alone.  A
-    # defect is theta(n+1) - theta(n) + h F, O(h) terms that cancel to O(h^3),
-    # so it is compared relative to the run's largest step: the stacked and
-    # single grads round differently, by 1e-19 absolute, which is 1e-8 of a
-    # 5e-11 defect but 1e-16 of the step
+def test_defect_equals_the_history_engine_residual(spec, loss_id):
+    # each row of a stacked second-order run: its defects are the residuals
+    # of the history engine's F at the recorded iterates.  A defect is
+    # theta(n+1) - theta(n) + h F, O(h) terms that cancel to O(h^3), so it is
+    # compared relative to the run's largest step: the two engines round F
+    # differently, by about 1e-16 of the step
     cfg, loss = fixture_config(loss_id, spec)
-    runs = RUNS["second-finite-n"](cfg, loss, HS)
-    stacked = one_step_defect(cfg, loss=loss, trajectory=runs)
-    assert len(stacked) == len(HS)
-    for h, run, defects in zip(HS, runs, stacked):
-        single = one_step_defect(with_h(cfg, h), loss=loss, trajectory=run)
-        assert len(defects) == len(single) == floor_steps(cfg.horizon, h)
+    for h, run in zip(HS, RUNS["second-finite-n"](cfg, loss, HS)):
+        defects = one_step_defect(spec, loss, run)
+        hist, expected = HistoryBuffer(), []
+        for n in range(len(run) - 1):
+            hist.append(run.iterates[n])
+            F = eval_F_history(spec, loss, hist)
+            expected.append(np.max(np.abs(run.iterates[n + 1] - run.iterates[n] + h * F)))
+        assert len(defects) == floor_steps(cfg.horizon, h)
         step = np.max(np.abs(np.diff(run.iterates, axis=0)))
-        assert np.max(np.abs(defects - single)) <= 1e-13 * step
+        assert np.max(np.abs(defects - expected)) <= 1e-13 * step
 
 
 def test_defect_replay_rejects_a_run_with_a_domain_exit():
-    # drive ends every row at floor(T/h), so a run cut short by a domain exit
-    # cannot be replayed
+    # a run cut short, by a domain exit or otherwise, has no iterates past
+    # its end to feed into the memoryful update
     cfg = RunConfig(seed=7, dimension=2, horizon=4.0, loss_id="quadratic",
                     loss_params={"eig_min": 1.0, "eig_max": 3.0, "domain_radius": 10.0},
                     optimizer=OptimizerSpec.heavy_ball(1.0, 0.9))
-    runs = run_memoryless(cfg, MemorylessKind.second(), hs=[1.0, 0.02])
+    loss = loss_from_config(cfg.loss_id, cfg.loss_params, cfg.dimension, cfg.seed)
+    runs = run_memoryless(cfg, MemorylessKind.second(), loss=loss, hs=[1.0, 0.02])
     assert runs[0].domain_exit is not None and runs[1].domain_exit is None
     with pytest.raises(ValueError, match="domain exit"):
-        one_step_defect(cfg, trajectory=runs)
-    with pytest.raises(ValueError, match="domain exit"):
-        one_step_defect(cfg, trajectory=runs[0])
-    assert len(one_step_defect(cfg, trajectory=runs[1])) == floor_steps(cfg.horizon, 0.02)
+        one_step_defect(cfg.optimizer, loss, runs[0])
+    cut = dataclasses.replace(runs[1], iterates=runs[1].iterates[:-1])
+    with pytest.raises(ValueError, match="not whole"):
+        one_step_defect(cfg.optimizer, loss, cut)
+    assert len(one_step_defect(cfg.optimizer, loss, runs[1])) == floor_steps(cfg.horizon, 0.02)
+
+
+@pytest.mark.parametrize("spec", DEFECT_SPECS, ids=spec_id)
+def test_defect_makes_one_grad_call(spec):
+    # one grad over the run's iterates feeds every step's memoryful update
+    cfg, loss = fixture_config("quadratic", spec)
+    run = RUNS["second-finite-n"](cfg, loss)
+    counting, counts = counting_loss(loss)
+    one_step_defect(spec, counting, run)
+    assert counts == Counter(grad=1)
 
 
 @pytest.mark.parametrize("spec", limit_specs(), ids=spec_id)

@@ -87,7 +87,9 @@ def test_defect_zero_at_n0():
     # empty correction sum at the first step: zero up to one ulp of theta
     # from the (theta - step) - theta round trip
     cfg = quad_config(OptimizerSpec.heavy_ball(1e-2, 0.9))
-    defects = one_step_defect(cfg)
+    loss = loss_from_config(cfg.loss_id, cfg.loss_params, cfg.dimension, cfg.seed)
+    run = run_memoryless(cfg, MemorylessKind.second(), loss=loss)
+    defects = one_step_defect(cfg.optimizer, loss, run)
     theta0 = cfg.initial_theta()
     assert defects[0] <= 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(theta0)))
 
@@ -105,9 +107,10 @@ def test_defect_order_three(loss_id, params, d):
         cfg = RunConfig(seed=9, dimension=d, horizon=0.5, loss_id=loss_id,
                         loss_params=params, optimizer=spec.with_h(h),
                         theta0="gauss")
-        sups2.append(np.max(one_step_defect(cfg)))
-        first = run_memoryless(cfg, MemorylessKind.first())
-        sups1.append(np.max(one_step_defect(cfg, trajectory=first)))
+        loss = loss_from_config(loss_id, params, d, cfg.seed)
+        for kind, sups in ((MemorylessKind.second(), sups2), (MemorylessKind.first(), sups1)):
+            run = run_memoryless(cfg, kind, loss=loss)
+            sups.append(np.max(one_step_defect(cfg.optimizer, loss, run)))
     slope2 = np.polyfit(np.log([4e-3, 2e-3, 1e-3, 5e-4]), np.log(sups2), 1)[0]
     slope1 = np.polyfit(np.log([4e-3, 2e-3, 1e-3, 5e-4]), np.log(sups1), 1)[0]
     assert 2.7 <= slope2 <= 3.3

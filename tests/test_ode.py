@@ -112,6 +112,17 @@ def test_rk4_stack_makes_four_grads_and_hvps_per_substep(spec):
         assert counts == Counter(grad=4 * dt_ratio * samples, hvp=4 * dt_ratio * samples)
 
 
+def test_first_order_flow_makes_no_hvp():
+    # without G2 each RK4 stage evaluates G1 = -F alone: one grad, no hvp
+    cfg = hb_config(h=1e-2, T=0.05)
+    loss, counts = counting_loss(loss_from_config(cfg.loss_id, cfg.loss_params,
+                                                  cfg.dimension, cfg.seed))
+    flow = integrate_rk4(cfg, loss, build_modified_ode(cfg.optimizer, loss), dt_ratio=4,
+                         include_g2=False)
+    assert len(flow) - 1 == 5
+    assert counts == Counter(grad=80)
+
+
 # -- the one-pass right-hand side ---------------------------------------------
 
 ONE_PASS_SPECS = limit_specs(1e-2) + equal_momentum_specs(1e-2)
