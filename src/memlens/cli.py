@@ -389,11 +389,8 @@ def cmd_sweep(resolved, config):
     second = MemorylessKind.second(CorrectionVariant(exp["correction_variant"]))
     kinds = {"both": [second, MemorylessKind.first()], "second": [second],
              "first": [MemorylessKind.first()]}[exp["order"]]
-    # one memoryful stack serves both orders
-    memoryful = run_memoryful(config, hs=grid) if len(kinds) > 1 else None
     csvs, gates, reports = {}, [], {}
-    for kind in kinds:
-        report = global_error_sweep(config, grid, kind, memoryful=memoryful)
+    for kind, report in zip(kinds, global_error_sweep(config, grid, kinds)):
         tag = kind.order.value
         csvs[tag] = (["h", "max_linf_error", "status"],
                      [[p.h, p.metric, "ok" if p.valid else p.note] for p in report.points])

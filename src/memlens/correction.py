@@ -88,19 +88,13 @@ def correction_bruteforce(spec: OptimizerSpec, loss: LossModel,
     return CorrectionTerm(spec.h * total, n, Method.BRUTE_FORCE)
 
 
-def correction_contraction(spec: OptimizerSpec, loss: LossModel,
-                           theta: ParamVector, n: int) -> CorrectionTerm:
-    """Same sum as correction_bruteforce, reassociated so the n windows go
-    through one jvp_pass, which also gives the update (fast enough for
-    per-step use).  Row-wise over a (B, d) stack whose spec.h is a (B, 1)
-    column."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    form = momentum_form(spec)
-    g = loss.grad(theta)
+def contraction_pass(form: MomentumForm, loss: LossModel, theta: ParamVector,
+                     g: ParamVector, n: int):
+    """(F^(n), c / h) of the contraction at theta with grad g: the same sum as
+    correction_bruteforce, reassociated so the n windows go through one
+    jvp_pass, which also gives the update.  Row-wise over a (B, d) stack."""
     if n == 0:
-        return CorrectionTerm(np.zeros(np.shape(theta)), 0, Method.CONTRACTION,
-                              update=form.contracted_F(loss, theta, 0, g))
+        return form.contracted_F(loss, theta, 0, g), np.zeros(np.shape(theta))
     P = _prefix_contracted(form, theta, g, n)
     # V[k-1] = P[n] - P[n-k] = sum of contracted F^(s) over the k steps before n
     V = P[n][None] - P[:n][::-1]
@@ -108,7 +102,16 @@ def correction_contraction(spec: OptimizerSpec, loss: LossModel,
     lags = np.arange(1, n + 1, dtype=np.float64)[:, None]
     weights = np.array([slot.bias(n) for slot in form.slots]) \
         * np.array([slot.beta for slot in form.slots]) ** lags
-    update, c = form.jvp_pass(form.scales(n), weights)(loss, theta, g, V)
+    return form.jvp_pass(form.scales(n), weights)(loss, theta, g, V)
+
+
+def correction_contraction(spec: OptimizerSpec, loss: LossModel,
+                           theta: ParamVector, n: int) -> CorrectionTerm:
+    """contraction_pass at theta, fast enough for per-step use.  Row-wise
+    over a (B, d) stack whose spec.h is a (B, 1) column."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    update, c = contraction_pass(momentum_form(spec), loss, theta, loss.grad(theta), n)
     return CorrectionTerm(spec.h * c, n, Method.CONTRACTION, update=update)
 
 
@@ -139,50 +142,54 @@ def heavyball_bracket(beta: float, n: int, shift: int = 1) -> float:
     return float((1.0 - beta) * np.sum(terms))
 
 
-def correction_closed_heavyball(spec: OptimizerSpec, loss: LossModel,
-                                theta: ParamVector, n: int) -> CorrectionTerm:
-    """Finite-n heavy-ball or Nesterov correction
-    h * beta * bracket(n) / (1-beta)^3 * hvp(theta, grad): one hvp.  For
-    Nesterov the bracket takes shift 2 and the coefficient one more factor
-    beta, the weight of its momentum in the output."""
-    g = loss.grad(theta)
-    update = momentum_form(spec).contracted_F(loss, theta, n, g)
-    if n == 0:
-        # empty sum; the bracket is zero only up to rounding
-        return CorrectionTerm(np.zeros(np.shape(theta)), 0, Method.CLOSED_FORM_FINITE_N,
-                              update=update)
-    beta = spec.beta1
-    if spec.kind is Kind.NESTEROV:
-        coef = spec.h * beta * beta * heavyball_bracket(beta, n, 2) / (1.0 - beta) ** 3
-    else:
-        coef = spec.h * beta * heavyball_bracket(beta, n) / (1.0 - beta) ** 3
-    return CorrectionTerm(coef * loss.hvp(theta, g), n, Method.CLOSED_FORM_FINITE_N,
-                          update=update)
+def closed_route(form: MomentumForm, finite: bool):
+    """(fn, method, fallback): the closed-form route (see above) for form at
+    every finite n (finite) or in the large-n limit, resolved once.
+    fn(loss, theta, g, n, h) -> (F, c) gives the contracted update F^(n) at
+    theta from its grad g and the correction c at step size h, a float or
+    the (B, 1) column of a (B, d) stack; fallback says why the contraction
+    is taken, else None.  None re-validates theta: its callers hold checked
+    iterates."""
+    spec = form.spec
+    if finite and spec.kind in (Kind.HEAVY_BALL, Kind.NESTEROV):
+        beta, nesterov = spec.beta1, spec.kind is Kind.NESTEROV
+
+        def bracket(loss, theta, g, n, h):
+            F = form.contracted_F(loss, theta, n, g)
+            if n == 0:  # empty sum; the bracket is zero only up to rounding
+                return F, np.zeros(np.shape(theta))
+            # h beta bracket(n) / (1-beta)^3 hvp(theta, g), one more factor beta
+            # for Nesterov: the weight of its momentum in the output
+            lead = h * beta * beta if nesterov else h * beta
+            coef = lead * heavyball_bracket(beta, n, 2 if nesterov else 1) / (1.0 - beta) ** 3
+            return F, coef * loss.hvp(theta, g)
+        return bracket, Method.CLOSED_FORM_FINITE_N, None
+    if not finite or form.n_independent:
+        # every inner update is the same F, so the lag-k window sums to k F:
+        # one pass on the window F with the lag weights, built once in the limit
+        limit = None if finite else form.jvp_pass(form.limit_scales, form.lag_scales)
+
+        def lag(loss, theta, g, n, h):
+            F, jvp = (limit or form.jvp_pass(form.limit_scales, form.lag_weights(n)))(
+                loss, theta, g)
+            return F, h * jvp
+        return lag, Method.CLOSED_FORM_FINITE_N if finite else Method.CLOSED_FORM_ASYMPTOTIC, None
+
+    def contraction(loss, theta, g, n, h):
+        F, c = contraction_pass(form, loss, theta, g, n)
+        return F, h * c
+    return (contraction, Method.CONTRACTION,
+            f"no finite-n closed form for {spec.kind.value} without bias correction")
 
 
 def correction_closed(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
                       n: Optional[int] = None) -> CorrectionTerm:
-    """Best available closed form, by one of three routes:
-      * the heavy-ball/Nesterov bracket at finite n; one hvp;
-      * lag weights - in the large-n limit, and at finite n when the form's
-        contracted update does not depend on n, every inner update is the
-        same F, so the lag-k window sums to k F and the correction is
-        h * limit_jvp (jvp_pass on the one window F) with per-slot weights
-        lag_weights(n); one hvp;
-      * otherwise the O(n) contraction, flagged in meta as a fallback.
-    Every route works row-wise over a (B, d) stack of points whose spec.h is
-    a (B, 1) column, and none re-validates theta: its callers hold checked
-    iterates."""
-    if n is not None and spec.kind in (Kind.HEAVY_BALL, Kind.NESTEROV):
-        return correction_closed_heavyball(spec, loss, theta, n)
-    form = momentum_form(spec)
-    if n is None or form.n_independent:
-        F, jvp = form.limit_jvp(loss, theta, loss.grad(theta), form.lag_weights(n))
-        method = Method.CLOSED_FORM_ASYMPTOTIC if n is None else Method.CLOSED_FORM_FINITE_N
-        return CorrectionTerm(spec.h * jvp, n, method, update=F)
-    term = correction_contraction(spec, loss, theta, n)
-    term.meta["fallback"] = f"no finite-n closed form for {spec.kind.value} without bias correction"
-    return term
+    """The correction at step n (None: the large-n limit) by the best
+    available closed form, closed_route, from one grad at theta.  Row-wise
+    over a (B, d) stack of points whose spec.h is a (B, 1) column."""
+    fn, method, fallback = closed_route(momentum_form(spec), n is not None)
+    update, c = fn(loss, theta, loss.grad(theta), n, spec.h)
+    return CorrectionTerm(c, n, method, {"fallback": fallback} if fallback else {}, update)
 
 
 def modified_loss_heavyball(loss: LossModel, theta: ParamVector,

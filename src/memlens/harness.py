@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .core import OptimizerSpec, RunConfig, Trajectory
 from .losses import loss_from_config
-from .memoryful import momentum_form, run_memoryful
+from .memoryful import MEMORYFUL, momentum_form, run_stack
 from .memoryless import MemorylessKind, one_step_defect, run_memoryless
 
 # Metrics at or below this are indistinguishable from rounding noise and are
@@ -63,14 +63,14 @@ def fit_loglog(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, flo
 
 def _correction(run: Trajectory) -> dict:
     """The correction_method of a memoryless run, and its correction_fallback
-    when one was taken; empty when no second-order step ran."""
+    when one is taken; empty for a first-order run."""
     return {k: run.meta[k] for k in ("correction_method", "correction_fallback")
             if run.meta.get(k) is not None}
 
 
 def _assemble_report(points: List[SweepPoint], runs: List[Trajectory]) -> SweepReport:
-    """Fits the points; runs are the discrete runs they measure, one stack
-    sharing one meta, which names the correction its first step took."""
+    """Fits the points; runs are the discrete runs they measure, of one kind,
+    whose meta names the correction route their steps take."""
     nan = float("nan")
     report = SweepReport(points=sorted(points, key=lambda p: -p.h), slope=nan,
                          r2=nan, status="degenerate", correction=_correction(runs[0]))
@@ -110,56 +110,50 @@ def _gap_points(h_grid: Sequence[float], full: List[Trajectory],
     return points
 
 
-def global_error_sweep(config: RunConfig, h_grid: Sequence[float], kind: MemorylessKind,
-                       memoryful: Optional[List[Trajectory]] = None) -> SweepReport:
+def global_error_sweep(config: RunConfig, h_grid: Sequence[float], kinds):
     """max_n || theta^(n) - theta~(n) ||_inf per h, from identical theta^(0),
-    with the fitted log-log slope.  Each side runs every h as one lockstep
-    stack; memoryful, when given, holds the memoryful runs over h_grid
-    (run_memoryful with hs=h_grid), so that several memoryless kinds can be
-    compared with one memoryful stack."""
+    with the fitted log-log slope, for one memoryless kind (a SweepReport) or
+    a list of kinds (a list of them).  The memoryful runs and those of every
+    kind, over every h, run as one lockstep stack."""
     h_grid = [float(h) for h in h_grid]
     if len(h_grid) < 5:
         raise ValueError("h_grid needs at least 5 points")
     if max(h_grid) / min(h_grid) < 30.0:
         raise ValueError("h_grid should span at least a factor of 30")
-    loss = loss_from_config(config.loss_id, config.loss_params, config.dimension, config.seed)
-    if memoryful is None:
-        memoryful = run_memoryful(config, loss=loss, hs=h_grid)
-    approx = run_memoryless(config, kind, loss=loss, hs=h_grid)
-    return _assemble_report(_gap_points(h_grid, memoryful, approx), approx)
+    single = isinstance(kinds, MemorylessKind)
+    memoryful, *approx = run_stack(config, [MEMORYFUL] + ([kinds] if single else list(kinds)),
+                                   hs=h_grid)
+    reports = [_assemble_report(_gap_points(h_grid, memoryful, runs), runs) for runs in approx]
+    return reports[0] if single else reports
 
 
 def defect_sweep(config: RunConfig, h_grid: Sequence[float]):
     """Sup over n of the one-step defect per h; returns (report, {h: defects}).
     The second-order runs of every h run as one stack, and the defect reads
-    each run that stayed in the domain."""
+    every run that stayed in the domain in one lockstep pass."""
     h_grid = [float(h) for h in h_grid]
     loss = loss_from_config(config.loss_id, config.loss_params, config.dimension, config.seed)
     runs = run_memoryless(config, MemorylessKind.second(), loss=loss, hs=h_grid)
-    points, details = [], {}
-    for h, run in zip(h_grid, runs):
-        if run.domain_exit is not None:
-            points.append(SweepPoint(h=h, metric=float("nan"), valid=False,
-                                     note="domain-exit"))
-            details[h] = np.array([])
-            continue
-        details[h] = one_step_defect(config.optimizer, loss, run)
-        points.append(SweepPoint(h=h, metric=float(np.max(details[h]))))
+    defects = iter(one_step_defect(config.optimizer, loss,
+                                   [run for run in runs if run.domain_exit is None]))
+    details = {h: np.array([]) if run.domain_exit is not None else next(defects)
+               for h, run in zip(h_grid, runs)}
+    points = [SweepPoint(h=h, metric=float("nan"), valid=False, note="domain-exit")
+              if run.domain_exit is not None else SweepPoint(h=h, metric=float(np.max(details[h])))
+              for h, run in zip(h_grid, runs)]
     return _assemble_report(points, runs), details
 
 
 def trajectory_closeness(config: RunConfig, h_list: Sequence[float]) -> dict:
     """Per-step inf-norm gaps of the second- and first-order memoryless runs
     against the memoryful trajectory, for each h, with the correction the
-    second-order runs took; each of the three runs every h as one lockstep
+    second-order runs take; the three kinds over every h run as one lockstep
     stack."""
     h_list = [float(h) for h in h_list]
-    loss = loss_from_config(config.loss_id, config.loss_params, config.dimension, config.seed)
-    runs = zip(run_memoryful(config, loss=loss, hs=h_list),
-               run_memoryless(config, MemorylessKind.second(), loss=loss, hs=h_list),
-               run_memoryless(config, MemorylessKind.first(), loss=loss, hs=h_list))
+    stack = run_stack(config, [MEMORYFUL, MemorylessKind.second(), MemorylessKind.first()],
+                      hs=h_list)
     out = {}
-    for h, (full, second, first) in zip(h_list, runs):
+    for h, full, second, first in zip(h_list, *stack):
         m = min(len(full), len(second), len(first))
         gap2 = np.max(np.abs(full.iterates[:m] - second.iterates[:m]), axis=1)
         gap1 = np.max(np.abs(full.iterates[:m] - first.iterates[:m]), axis=1)

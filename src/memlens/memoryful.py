@@ -264,13 +264,6 @@ class MomentumForm:
             return F, hv(loss, theta, s, F if V is None else V)
         return momentum
 
-    def limit_jvp(self, loss: LossModel, theta: ParamVector, g: ParamVector,
-                  weights: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        """jvp_pass at the large-n scales on the one window F: (F, jvp), one
-        hvp.  With weights = limit_scales, jvp is the Jacobian of the large-n
-        contracted update applied to F."""
-        return self.jvp_pass(self.limit_scales, weights)(loss, theta, g)
-
     def advance(self, sums: List[np.ndarray], theta: ParamVector, g: ParamVector, n: int):
         """Step n of the raw exponential sums: returns (sums, F^(n))."""
         feats = self.feature_values(theta, g)
@@ -307,30 +300,8 @@ def _form(*fields) -> MomentumForm:
     return MomentumForm(OptimizerSpec(kind, 1.0, *rest))
 
 
-@dataclass(eq=False)
-class MomentumState:
-    """Raw exponential sums s_l^(n+1) = sum_k beta_l^k f_l(theta^(n-k)) plus the step counter.
-
-    The momentum variables are m_l = bias_l(n) * s_l; keeping the sums raw
-    makes the state/history equivalence exact.  Each sum has the shape of
-    theta: (d,) for one run, (B, d) for a stack.
-    """
-
-    sums: List[np.ndarray]
-    n: int = 0  # number of completed steps
-
-    @classmethod
-    def fresh(cls, form: MomentumForm, shape) -> "MomentumState":
-        return cls(sums=[np.zeros(shape) for _ in form.slots], n=0)
-
-
-def step_state(spec: OptimizerSpec, loss: LossModel, state: MomentumState,
-               theta: ParamVector):
-    """One O(1)-state step: returns (theta_next, state_next); bitwise deterministic.
-    Row-wise over a (B, d) stack whose spec.h is a (B, 1) column."""
-    n = state.n
-    sums, F = momentum_form(spec).advance(state.sums, theta, loss.grad(theta), n)
-    return theta - spec.h * F, MomentumState(sums=sums, n=n + 1)
+SEGMENT_STEPS = 256  # drive moves its per-step arrays to per-row pieces this often
+MEMORYFUL = "memoryful"  # the kind of run_stack's rows of the memoryful optimizer
 
 
 def stack_spec(spec: OptimizerSpec, hs: Optional[Sequence[float]]) -> OptimizerSpec:
@@ -367,15 +338,19 @@ def drive(config: RunConfig, loss: LossModel, step: Callable[[np.ndarray, int], 
     rows = np.arange(len(hs))
     theta = np.repeat(theta[None, :], len(hs), axis=0)
     radius = loss.domain_radius
-    segment = [theta]  # recorded iterates since the set of rows last changed
+    segment = [theta]  # recorded iterates not yet moved to pieces
+
+    def flush():  # one contiguous copy per row, so that no block outlives its rows
+        nonlocal segment
+        block, segment = np.stack(segment, axis=1), []
+        for i, piece in zip(rows, block):
+            pieces[i].append(piece.copy())
 
     def leave(stay):
-        nonlocal rows, segment, theta
+        nonlocal rows, theta
         if segment:
-            block = np.stack(segment)
-            for p, i in enumerate(rows):
-                pieces[i].append(block[:, p])
-        rows, segment, theta = rows[stay], [], theta[stay]
+            flush()
+        rows, theta = rows[stay], theta[stay]
         if rows.size and keep is not None:
             keep(stay)
 
@@ -405,31 +380,70 @@ def drive(config: RunConfig, loss: LossModel, step: Callable[[np.ndarray, int], 
                 leave(finite)
             check = True
         segment.append(theta)
-    trajectories = [Trajectory(iterates=np.concatenate(p), h=h, T=config.horizon,
+        if len(segment) == SEGMENT_STEPS:
+            flush()
+    # each row's pieces are popped as they are joined, so none is held twice
+    trajectories = [Trajectory(iterates=np.concatenate(pieces.pop(0)), h=h, T=config.horizon,
                                value=loss.value, domain_exit=e, meta=dict(meta))
-                    for p, h, e in zip(pieces, hs, exits)]
+                    for h, e in zip(hs, exits)]
     return trajectories[0] if single else trajectories
+
+
+def run_stack(config: RunConfig, kinds: Sequence, loss: Optional[LossModel] = None,
+              hs: Optional[Sequence[float]] = None) -> list:
+    """floor(T/h) steps from theta^(0) of each kind in kinds over each h of hs
+    (or config.optimizer.h) as one lockstep stack in one drive: per kind, a
+    list with one Trajectory per h (or one Trajectory).  A kind is MEMORYFUL,
+    at most once, or has direction(form) -> (fn, meta), as MemorylessKind
+    has: its rows step theta - h * fn(loss, theta, g, n, h).  Each kind's
+    rows form one group; each step makes one grad call, which groups slice."""
+    if loss is None:
+        loss = loss_from_config(config.loss_id, config.loss_params,
+                                config.dimension, config.seed)
+    if kinds.count(MEMORYFUL) > 1:
+        raise ValueError("a stack holds at most one memoryful group")
+    spec = stack_spec(config.optimizer, hs)
+    form, rows = momentum_form(spec), spec.h.shape[0]
+    tag = np.repeat(np.arange(len(kinds)), rows)  # the kind of each row
+    h = np.tile(spec.h, (len(kinds), 1))
+    sums = [np.zeros((rows, config.dimension)) for _ in form.slots]
+
+    def memoryful(loss, theta, g, n, h):
+        nonlocal sums
+        sums, F = form.advance(sums, theta, g, n)
+        return F
+
+    fns, metas = zip(*[(memoryful, {"kind": spec.kind.value}) if kind is MEMORYFUL
+                       else kind.direction(form) for kind in kinds])
+
+    def split():  # (lo, hi, fn, h column) of each group that has rows
+        bounds = np.searchsorted(tag, np.arange(len(kinds) + 1))
+        return [(a, b, fn, h[a:b]) for a, b, fn in zip(bounds, bounds[1:], fns) if b > a]
+    groups = split()
+
+    def step(theta, n):
+        g = loss.grad(theta)
+        if len(groups) == 1:
+            return theta - h * groups[0][2](loss, theta, g, n, h)
+        return theta - h * np.concatenate([fn(loss, theta[a:b], g[a:b], n, hg)
+                                           for a, b, fn, hg in groups])
+
+    def keep(stay):
+        nonlocal tag, h, sums, groups
+        if MEMORYFUL in kinds:
+            sums = [s[stay[tag == kinds.index(MEMORYFUL)]] for s in sums]
+        tag, h = tag[stay], h[stay]
+        groups = split()
+
+    trajectories = drive(config, loss, step, {}, list(np.reshape(h, -1)), keep)
+    for i, t in enumerate(trajectories):
+        t.meta = dict(metas[i // rows])
+    return [trajectories[k * rows:(k + 1) * rows] if hs is not None else trajectories[k * rows]
+            for k in range(len(kinds))]
 
 
 def run_memoryful(config: RunConfig, loss: Optional[LossModel] = None,
                   hs: Optional[Sequence[float]] = None):
-    """Run floor(T/h) steps of the O(1) momentum-state engine from theta^(0),
-    recording every iterate: one Trajectory at config.optimizer.h, or with
-    hs one per step size, stepped in lockstep as one stack."""
-    if loss is None:
-        loss = loss_from_config(config.loss_id, config.loss_params,
-                                config.dimension, config.seed)
-    spec = stack_spec(config.optimizer, hs)
-    state = MomentumState.fresh(momentum_form(spec), (spec.h.shape[0], config.dimension))
-
-    def step(theta, n):
-        nonlocal state
-        theta, state = step_state(spec, loss, state, theta)
-        return theta
-
-    def keep(stay):
-        nonlocal spec, state
-        spec = spec.with_h(spec.h[stay])
-        state = MomentumState(sums=[s[stay] for s in state.sums], n=state.n)
-
-    return drive(config, loss, step, {"kind": spec.kind.value}, hs, keep)
+    """run_stack of the O(1) momentum-state engine alone: one Trajectory at
+    config.optimizer.h, or with hs one per step size."""
+    return run_stack(config, [MEMORYFUL], loss, hs)[0]

@@ -24,8 +24,8 @@ import numpy as np
 from .core import OptimizerSpec, ParamVector, RunConfig
 from .harness import SweepReport, _assemble_report, _gap_points, n_burn_steps
 from .losses import LossModel, loss_from_config
-from .memoryful import MomentumForm, drive, momentum_form, run_memoryful, stack_spec
-from .memoryless import CorrectionVariant, MemorylessKind, run_memoryless
+from .memoryful import MEMORYFUL, MomentumForm, drive, momentum_form, run_stack, stack_spec
+from .memoryless import CorrectionVariant, MemorylessKind
 
 DT_RATIO_DEFAULT = 8  # RK4 substeps per h
 # discrete sides of compare_discrete_vs_ode; the first is the default
@@ -35,12 +35,12 @@ ODE_TARGETS = ("memoryless-asymptotic", "memoryless-finite-n", "memoryful")
 @dataclass(eq=False)
 class ModifiedODE:
     """theta' = G1(theta) + h*G2(theta) of a momentum form, matching one
-    discrete step to third order in h.  field(theta) returns (G1, G2) and
-    rhs(theta), the integrator's hot path, G1 + h*G2, each from one grad and
-    one hvp, row-wise over a (B, d) stack.  h is a float, or the (B, 1)
-    column of a stack of flows.  The G2 slot weights, and for rhs their
-    product with -h, are resolved into two passes when the ODE is made, and
-    again by dataclasses.replace, which a stack uses as rows leave."""
+    discrete step to third order in h.  rhs(theta), the integrator's hot
+    path, returns G1 + h*G2 from one grad and one hvp, row-wise over a (B, d)
+    stack; h is a float, or the (B, 1) column of a stack of flows.  Its pass,
+    with -h folded into the G2 slot weights, is resolved when the ODE is made
+    and again by dataclasses.replace, which a stack uses as rows leave.
+    field(theta) returns (G1, G2) through a pass it builds when called."""
 
     form: MomentumForm
     loss: LossModel
@@ -49,12 +49,12 @@ class ModifiedODE:
 
     def __post_init__(self):
         c = self.form.limit_scales
-        weights = tuple(a + 0.5 * b for a, b in zip(self.form.lag_scales, c))
-        self._g2 = self.form.jvp_pass(c, weights)
-        self._flow = self.form.jvp_pass(c, tuple(-self.h * w for w in weights))
+        self._weights = tuple(a + 0.5 * b for a, b in zip(self.form.lag_scales, c))
+        self._flow = self.form.jvp_pass(c, tuple(-self.h * w for w in self._weights))
 
     def field(self, theta: ParamVector):
-        F, jvp = self._g2(self.loss, theta, self.loss.grad(theta))
+        F, jvp = self.form.jvp_pass(self.form.limit_scales, self._weights)(
+            self.loss, theta, self.loss.grad(theta))
         return -F, -jvp
 
     def rhs(self, theta: ParamVector) -> np.ndarray:
@@ -130,21 +130,15 @@ def compare_discrete_vs_ode(config: RunConfig, h_grid: Sequence[float],
     offset is O(h^2).  The flows of every h run as one RK4 stack, and the
     discrete runs as one lockstep stack.
     """
+    kinds = dict(zip(ODE_TARGETS, (MemorylessKind.second(CorrectionVariant.ASYMPTOTIC),
+                                   MemorylessKind.second(), MEMORYFUL)))
+    if target not in kinds:
+        raise ValueError(f"unknown target: {target!r}")
     loss = loss_from_config(config.loss_id, config.loss_params,
                             config.dimension, config.seed)
     grid = [float(h) for h in h_grid]
-    if target == "memoryless-asymptotic":
-        discrete = run_memoryless(config, MemorylessKind.second(CorrectionVariant.ASYMPTOTIC),
-                                  loss=loss, hs=grid)
-        n_burn = 0
-    elif target == "memoryless-finite-n":
-        discrete = run_memoryless(config, MemorylessKind.second(), loss=loss, hs=grid)
-        n_burn = n_burn_steps(config.optimizer, tol=1e-12)
-    elif target == "memoryful":
-        discrete = run_memoryful(config, loss=loss, hs=grid)
-        n_burn = n_burn_steps(config.optimizer, tol=1e-12)
-    else:
-        raise ValueError(f"unknown target: {target!r}")
+    discrete = run_stack(config, [kinds[target]], loss, grid)[0]
+    n_burn = 0 if target == ODE_TARGETS[0] else n_burn_steps(config.optimizer, tol=1e-12)
     odesys = build_modified_ode(stack_spec(config.optimizer, grid), loss)
     flows = integrate_rk4(config, loss, odesys, dt_ratio, include_g2)
     return _assemble_report(_gap_points(grid, discrete, flows, n_burn), discrete)

@@ -5,7 +5,7 @@ the adaptive and sign-momentum kinds, a literal decaying double sum, the
 equal-momentum identity of the adaptive and sign-momentum corrections, the
 large-n mean drift of the mini-batch correction and its per-ordering
 evaluation, and a modified-equation field built from central differences.
-Also the inf-norm distance the tests measure with.
+Also the inf-norm distance the tests measure with, and one memoryless step.
 """
 import functools
 from dataclasses import dataclass, field
@@ -19,6 +19,7 @@ from memlens.core import (Kind, KSpec, OptimizerSpec, ParamVector, RunConfig, Tr
 from memlens.correction import correction_closed
 from memlens.losses import LossModel, MiniBatchFamily, loss_from_config
 from memlens.memoryful import drive, momentum_form
+from memlens.memoryless import MemorylessKind
 from memlens.minibatch import batch_pair_expectations
 
 
@@ -31,6 +32,15 @@ def linf_distance(a: ParamVector, b: ParamVector) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - b)))
+
+
+def step_memoryless(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
+                    n: int, kind: MemorylessKind) -> ParamVector:
+    """Step n of a run_memoryless row, as its stack takes it from
+    kind.direction, with one grad: theta - h * [contracted update +
+    correction], row-wise over a (B, d) stack whose spec.h is a (B, 1) column."""
+    fn, _ = kind.direction(momentum_form(spec))
+    return theta - spec.h * fn(loss, theta, loss.grad(theta), n, spec.h)
 
 
 # -- the history engine -------------------------------------------------------

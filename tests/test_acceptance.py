@@ -298,9 +298,35 @@ samples = 100000
 """
 
 
+CLOSENESS_CFG = """
+[run]
+seed = 11
+dimension = 20
+horizon = 0.2
+
+[loss]
+id = logistic
+points = 200
+
+[optimizer]
+kind = adamw
+h = 1e-4
+beta1 = 0.9
+beta2 = 0.95
+lambda = 1e-3
+eps = 1e-6
+
+[experiment]
+h_grid = 1e-4,3e-4
+"""
+
+
 def test_criterion_10_determinism(tmp_path):
+    # closeness and defect step several trajectory kinds or runs as one stack
     for tag, cfg_text, command in (("sweep", SWEEP_CFG, "sweep"),
-                                   ("minibatch", MINIBATCH_CFG, "minibatch-corr")):
+                                   ("minibatch", MINIBATCH_CFG, "minibatch-corr"),
+                                   ("defect", SWEEP_CFG, "defect"),
+                                   ("closeness", CLOSENESS_CFG, "closeness")):
         cfg = tmp_path / f"{tag}.cfg"
         cfg.write_text(cfg_text)
         outs = []

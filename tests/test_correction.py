@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from memlens import (OptimizerSpec, correction_bruteforce, correction_closed,
-                     correction_closed_heavyball, correction_contraction, make_quadratic,
-                     modified_loss_heavyball)
+                     correction_contraction, make_quadratic, modified_loss_heavyball)
 from memlens.core import Kind, KSpec
 from memlens.correction import Method, heavyball_bracket
 from memlens.losses import FD_ABS_FLOOR, FD_STEP_DEFAULT
@@ -31,7 +30,7 @@ def test_heavyball_n1_hand_value():
     expected = h * beta * a * a * theta
     got = correction_bruteforce(spec, loss, np.array([theta]), 1).vector[0]
     assert got == pytest.approx(expected, rel=1e-14)
-    closed = correction_closed_heavyball(spec, loss, np.array([theta]), 1).vector[0]
+    closed = correction_closed(spec, loss, np.array([theta]), 1).vector[0]
     assert closed == pytest.approx(expected, rel=1e-14)
 
 

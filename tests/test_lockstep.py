@@ -1,18 +1,20 @@
 """Lockstep stacks: each row of a (B, d) stack of runs that share the step
-index and differ in h equals its single-row run, a row leaves the stack by
-drive's exit rules without disturbing the others, and a stacked step calls
-only the oracles it reads."""
+index and differ in h (and, in a fused stack, in trajectory kind) equals its
+single-row run, a row leaves the stack by drive's exit rules without
+disturbing the others, and a stacked step calls only the oracles it reads."""
 import dataclasses
-from collections import Counter
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from memlens import (OptimizerSpec, RunConfig, build_modified_ode, integrate_rk4,
-                     run_memoryful, run_memoryless, step_state)
+                     make_quadratic, memoryful, run_memoryful, run_memoryless)
+from memlens.cli import main as cli_main
 from memlens.core import floor_steps
 from memlens.losses import loss_from_config
-from memlens.memoryful import MomentumState, drive, momentum_form, stack_spec
+from memlens.memoryful import MEMORYFUL, drive, momentum_form, run_stack, stack_spec
 from memlens.memoryless import CorrectionVariant, MemorylessKind, one_step_defect
 
 from conftest import counting_loss, limit_specs, rel_linf
@@ -191,6 +193,27 @@ def test_defect_equals_the_history_engine_residual(spec, loss_id):
         assert np.max(np.abs(defects - expected)) <= 1e-13 * step
 
 
+def looped_defect(spec, loss, run):
+    """one_step_defect of one run, stepping its momentum sums alone."""
+    theta, form = run.iterates, momentum_form(spec)
+    grads, sums = loss.grad(theta[:-1]), [0.0] * len(form.slots)
+    F = np.empty_like(grads)
+    for n in range(len(grads)):
+        sums, F[n] = form.advance(sums, theta[n], grads[n], n)
+    return np.abs(theta[1:] - theta[:-1] + run.h * F).max(axis=1)
+
+
+@pytest.mark.parametrize("loss_id", sorted(FIXTURES))
+@pytest.mark.parametrize("spec", DEFECT_SPECS, ids=spec_id)
+def test_lockstep_defect_equals_each_runs_own_loop(spec, loss_id):
+    # unsorted runs of several lengths, one repeated: bitwise each run's loop
+    cfg, loss = fixture_config(loss_id, spec)
+    runs = RUNS["second-finite-n"](cfg, loss, [2e-3, 4e-3, 1e-3, 4e-3])
+    for run, defects in zip(runs, one_step_defect(spec, loss, runs)):
+        assert np.array_equal(defects, looped_defect(spec, loss, run))
+    assert one_step_defect(spec, loss, []) == []
+
+
 def test_defect_replay_rejects_a_run_with_a_domain_exit():
     # a run cut short, by a domain exit or otherwise, has no iterates past
     # its end to feed into the memoryful update
@@ -219,20 +242,20 @@ def test_defect_makes_one_grad_call(spec):
 
 
 @pytest.mark.parametrize("spec", limit_specs(), ids=spec_id)
-def test_stacked_memoryful_step_makes_one_grad_and_no_value(spec, quad4, rng):
+def test_stacked_memoryful_step_makes_one_grad_and_no_value(spec, quad4):
+    # each step of a memoryful stack adds exactly one grad call
     counting, counts = counting_loss(quad4)
-    stacked = stack_spec(spec, HS)
-    theta = rng.standard_normal((len(HS), 4))
-    state = MomentumState.fresh(momentum_form(stacked), theta.shape)
-    for _ in range(3):
+    for steps in (1, 2, 3):
         counts.clear()
-        theta, state = step_state(stacked, counting, state, theta)
-        assert counts == Counter(grad=1)
+        cfg = RunConfig(seed=1, dimension=4, horizon=steps * min(HS), loss_id="quadratic",
+                        loss_params={}, optimizer=spec)
+        run_memoryful(cfg, counting, HS)
+        assert counts == Counter(grad=steps)
 
 
 def test_runs_call_value_only_when_loss_values_are_read(quad4):
     # one grad per stacked step and no value call while stepping, also for the
-    # second-order run (its correction method comes from its first step);
+    # second-order run (its correction method is resolved with its stack);
     # reading loss_values makes one value call per trajectory
     counting, counts = counting_loss(quad4)
     cfg = RunConfig(seed=1, dimension=4, horizon=0.2, loss_id="quadratic", loss_params={},
@@ -246,3 +269,100 @@ def test_runs_call_value_only_when_loss_values_are_read(quad4):
         assert counts["value"] == len(trajs)
         assert [len(v) for v in values] == [len(t) for t in trajs]
     assert trajs[0].meta["correction_method"] == "closed-finite-n"
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def recording_loss(loss):
+    """(loss whose grad and hvp record the rows of every call, {name: rows})."""
+    rows = defaultdict(list)
+
+    def recorded(name, fn):
+        def wrapper(theta, *rest):
+            rows[name].append(len(theta))
+            return fn(theta, *rest)
+        return wrapper
+
+    return dataclasses.replace(loss, grad=recorded("grad", loss.grad),
+                               hvp=recorded("hvp", loss.hvp)), rows
+
+
+@pytest.mark.parametrize("command,config,sets,kinds,first_hvp", [
+    # AdamW's lag-weight route makes its hvp at every step, n = 0 included
+    ("closeness", "adam_closeness.cfg", ["run.horizon=0.15"], 3, 0),
+    # the heavy-ball bracket makes none at n = 0, the empty sum
+    ("sweep", "heavyball_sweep.cfg", [], 3, 1),
+])
+def test_fused_command_makes_one_grad_per_step(command, config, sets, kinds, first_hvp,
+                                               monkeypatch, tmp_path):
+    # one grad over the whole stack per lockstep step, and one hvp over the
+    # second-order rows alone: none for the memoryful or first-order rows
+    made = []
+
+    def counted_loss(*args):
+        loss, rows = recording_loss(loss_from_config(*args))
+        made.append(rows)
+        return loss
+
+    monkeypatch.setattr(memoryful, "loss_from_config", counted_loss)
+    argv = [command, "--config", str(CONFIGS / config), "--out-dir", str(tmp_path)]
+    assert cli_main(argv + [a for kv in sets for a in ("--set", kv)]) == 0
+    assert len(made) == 1  # one stack
+    rows = made[0]
+    T = 0.15 if sets else 1.0
+    ends = [floor_steps(T, h) for h in ((1e-4, 3e-4) if command == "closeness" else
+                                         [1e-2 * 2.0 ** -j for j in range(7)])]
+    live = [sum(end > n for end in ends) for n in range(max(ends))]
+    assert rows["grad"] == [kinds * k for k in live]
+    assert rows["hvp"] == live[first_hvp:]
+
+
+# sweep's stack with order=both and the asymptotic variant: its first-order
+# rows take F^(n) and its second-order rows the large-n F, so no single
+# weighting of one pass would step both
+MIXED = [MEMORYFUL, MemorylessKind.second(CorrectionVariant.ASYMPTOTIC), MemorylessKind.first()]
+MIXED_RUNS = ["memoryful", "second-asymptotic", "first"]
+
+
+@pytest.mark.parametrize("loss_id", sorted(FIXTURES))
+@pytest.mark.parametrize("spec", [
+    OptimizerSpec.adamw(1e-3, 0.9, 0.95, lam=0.1, eps=1e-4, bias_correction=False),
+    OptimizerSpec.heavy_ball(1e-3, 0.9),
+], ids=spec_id)
+def test_fused_rows_equal_their_one_kind_runs(spec, loss_id):
+    cfg, loss = fixture_config(loss_id, spec)
+    for rows, run in zip(run_stack(cfg, MIXED, loss, HS), MIXED_RUNS):
+        alone = RUNS[run](cfg, loss, HS)
+        assert [row.h for row in rows] == HS
+        for row, single in zip(rows, alone):
+            assert row.domain_exit is None and len(row) == len(single)
+            assert rel_linf(row.iterates, single.iterates) <= 1e-12
+            assert row.meta == single.meta
+
+
+@pytest.mark.parametrize("case", ["memoryless-rows-exit", "memoryful-rows-exit"])
+def test_a_row_leaving_the_domain_spares_the_other_kinds(case):
+    if case == "memoryless-rows-exit":
+        # at h lambda in [1, 3] the heavy ball is stable (below 2 (1 + beta)),
+        # but its memoryless steps, h / (1 - beta) along the gradient, are not
+        cfg = RunConfig(seed=7, dimension=2, horizon=30.0, loss_id="quadratic",
+                        loss_params={"eig_min": 1.0, "eig_max": 3.0, "domain_radius": 10.0},
+                        optimizer=OptimizerSpec.heavy_ball(1.0, 0.9))
+        loss = loss_from_config(cfg.loss_id, cfg.loss_params, cfg.dimension, cfg.seed)
+        hs, clean = [1.0, 0.5, 0.05], [[1, 1, 1], [0, 0, 0], [0, 0, 1]]
+    else:
+        # the heavy ball overshoots the minimizer at 9 past the radius 10;
+        # the memoryless iterations approach it monotonically
+        cfg = RunConfig(seed=0, dimension=1, horizon=3.0, loss_id="quadratic", loss_params={},
+                        optimizer=OptimizerSpec.heavy_ball(1e-2, 0.9), theta0=(0.0,))
+        loss = make_quadratic(np.eye(1), np.array([9.0]), domain_radius=10.0)
+        hs, clean = [2e-2, 1e-2, 5e-3], [[0, 0, 1], [1, 1, 1], [1, 1, 1]]
+    kinds = [MEMORYFUL, MemorylessKind.second(), MemorylessKind.first()]
+    fused = run_stack(cfg, kinds, loss, hs)
+    assert [[int(t.domain_exit is None) for t in rows] for rows in fused] == clean
+    for kind, rows in zip(kinds, fused):
+        for h, row in zip(hs, rows):
+            single = run_stack(with_h(cfg, h), [kind], loss)[0]
+            assert row.domain_exit == single.domain_exit and len(row) == len(single)
+            assert rel_linf(row.iterates, single.iterates) <= 1e-13

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from memlens import (KSpec, LossModel, OptimizerSpec, RunConfig,
-                     make_quadratic, run_memoryful, step_state)
+                     make_quadratic, run_memoryful)
 from memlens.losses import loss_from_config
-from memlens.memoryful import MomentumState, drive, momentum_form
+from memlens.memoryful import drive, momentum_form
 
 from conftest import all_kind_specs
 from oracles import HistoryBuffer, eval_F_history, run_history
@@ -72,25 +72,22 @@ def test_nadamw_beta1_zero_collapses_to_adamw(rng):
 def test_adamw_contracts_geometrically_on_flat_loss():
     # zero gradient everywhere: only the weight-decay slot survives
     spec = OptimizerSpec.adamw(0.01, 0.9, 0.95, lam=0.5, eps=1e-8)
-    loss = constant_loss(3)
-    theta = np.array([1.0, -2.0, 0.5])
-    form = momentum_form(spec)
-    state = MomentumState.fresh(form, 3)
-    for _ in range(4):
-        nxt, state = step_state(spec, loss, state, theta)
-        assert np.max(np.abs(nxt - (1 - 0.01 * 0.5) * theta)) <= 1e-15
-        theta = nxt
+    cfg = RunConfig(seed=0, dimension=3, horizon=0.04, loss_id="quadratic", loss_params={},
+                    optimizer=spec, theta0=(1.0, -2.0, 0.5))
+    theta = run_memoryful(cfg, loss=constant_loss(3)).iterates
+    assert len(theta) == 5
+    for prev, nxt in zip(theta[:-1], theta[1:]):
+        assert np.max(np.abs(nxt - (1 - 0.01 * 0.5) * prev)) <= 1e-15
 
 
 def test_heavyball_beta0_is_gradient_descent(quad4, rng):
-    theta = rng.standard_normal(4)
     spec = OptimizerSpec.heavy_ball(1e-2, 0.0)
-    form = momentum_form(spec)
-    state = MomentumState.fresh(form, 4)
-    for _ in range(5):
-        nxt, state = step_state(spec, quad4, state, theta)
-        assert np.array_equal(nxt, theta - 1e-2 * quad4.grad(theta))
-        theta = nxt
+    cfg = RunConfig(seed=0, dimension=4, horizon=0.05, loss_id="quadratic", loss_params={},
+                    optimizer=spec, theta0=tuple(rng.standard_normal(4)))
+    theta = run_memoryful(cfg, loss=quad4).iterates
+    assert len(theta) == 6
+    for prev, nxt in zip(theta[:-1], theta[1:]):
+        assert np.array_equal(nxt, prev - 1e-2 * quad4.grad(prev))
 
 
 @pytest.mark.parametrize("spec", all_kind_specs(), ids=lambda s: f"{s.kind.value}-bc{int(s.bias_correction)}")

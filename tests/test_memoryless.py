@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from memlens import (OptimizerSpec, RunConfig, loss_from_config,
-                     one_step_defect, run_memoryful, run_memoryless, step_memoryless)
+                     one_step_defect, run_memoryful, run_memoryless)
 from memlens import correction
 from memlens.correction import correction_closed
 from memlens.memoryless import CorrectionVariant, MemorylessKind, Order
 
 from conftest import counting_loss, limit_specs
-from oracles import adamw_memoryless_reference, lion_eps_memoryless_reference, linf_distance
+from oracles import (adamw_memoryless_reference, lion_eps_memoryless_reference, linf_distance,
+                     step_memoryless)
 
 def quad_config(spec, d=4, T=0.3, seed=5):
     return RunConfig(seed=seed, dimension=d, horizon=T, loss_id="quadratic",
@@ -145,7 +146,7 @@ def test_nesterov_finite_n_run_is_linear_in_steps(monkeypatch):
     def no_contraction(*args):
         raise AssertionError("the contraction route ran")
 
-    monkeypatch.setattr(correction, "correction_contraction", no_contraction)
+    monkeypatch.setattr(correction, "contraction_pass", no_contraction)
     N = 10_000
     cfg = quad_config(OptimizerSpec.nesterov(1e-3, 0.9), d=10, T=N * 1e-3)
     loss, counts = counting_loss(loss_from_config(cfg.loss_id, cfg.loss_params,
