@@ -147,9 +147,9 @@ def closed_route(form: MomentumForm, finite: bool):
     every finite n (finite) or in the large-n limit, resolved once.
     fn(loss, theta, g, n, h) -> (F, c) gives the contracted update F^(n) at
     theta from its grad g and the correction c at step size h, a float or
-    the (B, 1) column of a (B, d) stack; fallback says why the contraction
-    is taken, else None.  None re-validates theta: its callers hold checked
-    iterates."""
+    the (B, 1) column of a (B, d) stack (in the limit fn does not read n);
+    fallback says why the contraction is taken, else None.  None
+    re-validates theta: its callers hold checked iterates."""
     spec = form.spec
     if finite and spec.kind in (Kind.HEAVY_BALL, Kind.NESTEROV):
         beta, nesterov = spec.beta1, spec.kind is Kind.NESTEROV

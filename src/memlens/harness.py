@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import OptimizerSpec, RunConfig, Trajectory
 from .losses import loss_from_config
-from .memoryful import MEMORYFUL, momentum_form, run_stack
+from .memoryful import momentum_form
 from .memoryless import MemorylessKind, one_step_defect, run_memoryless
 
 # Metrics at or below this are indistinguishable from rounding noise and are
@@ -110,37 +110,37 @@ def _gap_points(h_grid: Sequence[float], full: List[Trajectory],
     return points
 
 
-def global_error_sweep(config: RunConfig, h_grid: Sequence[float], kinds):
+def global_error_sweep(config: RunConfig, h_grid: Sequence[float],
+                       kinds: Sequence[MemorylessKind]) -> List[SweepReport]:
     """max_n || theta^(n) - theta~(n) ||_inf per h, from identical theta^(0),
-    with the fitted log-log slope, for one memoryless kind (a SweepReport) or
-    a list of kinds (a list of them).  The memoryful runs and those of every
-    kind, over every h, run as one lockstep stack."""
+    with the fitted log-log slope: one SweepReport per memoryless kind in
+    kinds.  The memoryful runs and those of every kind, over every h, run as
+    one lockstep stack."""
     h_grid = [float(h) for h in h_grid]
     if len(h_grid) < 5:
         raise ValueError("h_grid needs at least 5 points")
     if max(h_grid) / min(h_grid) < 30.0:
         raise ValueError("h_grid should span at least a factor of 30")
-    single = isinstance(kinds, MemorylessKind)
-    memoryful, *approx = run_stack(config, [MEMORYFUL] + ([kinds] if single else list(kinds)),
-                                   hs=h_grid)
-    reports = [_assemble_report(_gap_points(h_grid, memoryful, runs), runs) for runs in approx]
-    return reports[0] if single else reports
+    memoryful, *approx = run_memoryless(config, kinds, hs=h_grid, memoryful=True)
+    return [_assemble_report(_gap_points(h_grid, memoryful, runs), runs) for runs in approx]
 
 
 def defect_sweep(config: RunConfig, h_grid: Sequence[float]):
     """Sup over n of the one-step defect per h; returns (report, {h: defects}).
     The second-order runs of every h run as one stack, and the defect reads
-    every run that stayed in the domain in one lockstep pass."""
+    each run that stayed in the domain."""
     h_grid = [float(h) for h in h_grid]
     loss = loss_from_config(config.loss_id, config.loss_params, config.dimension, config.seed)
-    runs = run_memoryless(config, MemorylessKind.second(), loss=loss, hs=h_grid)
-    defects = iter(one_step_defect(config.optimizer, loss,
-                                   [run for run in runs if run.domain_exit is None]))
-    details = {h: np.array([]) if run.domain_exit is not None else next(defects)
-               for h, run in zip(h_grid, runs)}
-    points = [SweepPoint(h=h, metric=float("nan"), valid=False, note="domain-exit")
-              if run.domain_exit is not None else SweepPoint(h=h, metric=float(np.max(details[h])))
-              for h, run in zip(h_grid, runs)]
+    runs, = run_memoryless(config, [MemorylessKind.second()], loss=loss, hs=h_grid)
+    points, details = [], {}
+    for h, run in zip(h_grid, runs):
+        if run.domain_exit is not None:
+            points.append(SweepPoint(h=h, metric=float("nan"), valid=False,
+                                     note="domain-exit"))
+            details[h] = np.array([])
+            continue
+        details[h] = one_step_defect(config.optimizer, loss, run)
+        points.append(SweepPoint(h=h, metric=float(np.max(details[h]))))
     return _assemble_report(points, runs), details
 
 
@@ -150,8 +150,8 @@ def trajectory_closeness(config: RunConfig, h_list: Sequence[float]) -> dict:
     second-order runs take; the three kinds over every h run as one lockstep
     stack."""
     h_list = [float(h) for h in h_list]
-    stack = run_stack(config, [MEMORYFUL, MemorylessKind.second(), MemorylessKind.first()],
-                      hs=h_list)
+    stack = run_memoryless(config, [MemorylessKind.second(), MemorylessKind.first()],
+                           hs=h_list, memoryful=True)
     out = {}
     for h, full, second, first in zip(h_list, *stack):
         m = min(len(full), len(second), len(first))

@@ -300,8 +300,17 @@ def _form(*fields) -> MomentumForm:
     return MomentumForm(OptimizerSpec(kind, 1.0, *rest))
 
 
-SEGMENT_STEPS = 256  # drive moves its per-step arrays to per-row pieces this often
+SEGMENT_STEPS = 256  # drive's flush period; of 64, 256, 1024 and never, the lowest peak RSS
 MEMORYFUL = "memoryful"  # the kind of run_stack's rows of the memoryful optimizer
+
+
+def step_state(form: MomentumForm, sums: List[np.ndarray], theta: ParamVector,
+               g: ParamVector, n: int) -> np.ndarray:
+    """Update F^(n) (the step is theta - h F^(n)) of the O(1)-state engine from
+    the grad g at theta; advances sums, the raw sums, in place.  Row-wise over
+    a (B, d) stack; a module function so that perfbench's tracer sees it."""
+    sums[:], F = form.advance(sums, theta, g, n)
+    return F
 
 
 def stack_spec(spec: OptimizerSpec, hs: Optional[Sequence[float]]) -> OptimizerSpec:
@@ -393,10 +402,10 @@ def run_stack(config: RunConfig, kinds: Sequence, loss: Optional[LossModel] = No
               hs: Optional[Sequence[float]] = None) -> list:
     """floor(T/h) steps from theta^(0) of each kind in kinds over each h of hs
     (or config.optimizer.h) as one lockstep stack in one drive: per kind, a
-    list with one Trajectory per h (or one Trajectory).  A kind is MEMORYFUL,
-    at most once, or has direction(form) -> (fn, meta), as MemorylessKind
-    has: its rows step theta - h * fn(loss, theta, g, n, h).  Each kind's
-    rows form one group; each step makes one grad call, which groups slice."""
+    list with one Trajectory per h (or one Trajectory).  A kind is MEMORYFUL
+    (at most once; its rows take step_state) or has resolve(form) -> (update,
+    meta), as MemorylessKind has.  Each kind's rows form one group, and each
+    step makes one grad call, which the groups slice."""
     if loss is None:
         loss = loss_from_config(config.loss_id, config.loss_params,
                                 config.dimension, config.seed)
@@ -407,16 +416,11 @@ def run_stack(config: RunConfig, kinds: Sequence, loss: Optional[LossModel] = No
     tag = np.repeat(np.arange(len(kinds)), rows)  # the kind of each row
     h = np.tile(spec.h, (len(kinds), 1))
     sums = [np.zeros((rows, config.dimension)) for _ in form.slots]
+    fns, metas = zip(*[((lambda loss, theta, g, n, h: step_state(form, sums, theta, g, n)),
+                        {"kind": spec.kind.value}) if kind is MEMORYFUL
+                       else kind.resolve(form) for kind in kinds])
 
-    def memoryful(loss, theta, g, n, h):
-        nonlocal sums
-        sums, F = form.advance(sums, theta, g, n)
-        return F
-
-    fns, metas = zip(*[(memoryful, {"kind": spec.kind.value}) if kind is MEMORYFUL
-                       else kind.direction(form) for kind in kinds])
-
-    def split():  # (lo, hi, fn, h column) of each group that has rows
+    def split():  # (lo, hi, update, h column) of each group that has rows
         bounds = np.searchsorted(tag, np.arange(len(kinds) + 1))
         return [(a, b, fn, h[a:b]) for a, b, fn in zip(bounds, bounds[1:], fns) if b > a]
     groups = split()
@@ -429,9 +433,9 @@ def run_stack(config: RunConfig, kinds: Sequence, loss: Optional[LossModel] = No
                                            for a, b, fn, hg in groups])
 
     def keep(stay):
-        nonlocal tag, h, sums, groups
+        nonlocal tag, h, groups
         if MEMORYFUL in kinds:
-            sums = [s[stay[tag == kinds.index(MEMORYFUL)]] for s in sums]
+            sums[:] = [s[stay[tag == kinds.index(MEMORYFUL)]] for s in sums]
         tag, h = tag[stay], h[stay]
         groups = split()
 

@@ -11,10 +11,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import OptimizerSpec, RunConfig, Trajectory, floor_steps
+from .core import OptimizerSpec, ParamVector, RunConfig, Trajectory, floor_steps
 from .correction import closed_route
 from .losses import LossModel
-from .memoryful import MomentumForm, momentum_form, run_stack
+from .memoryful import MEMORYFUL, MomentumForm, momentum_form, run_stack
 
 
 class Order(enum.Enum):
@@ -45,64 +45,60 @@ class MemorylessKind:
     def second(cls, variant: CorrectionVariant = CorrectionVariant.FINITE_N) -> "MemorylessKind":
         return cls(order=Order.SECOND_ORDER, variant=variant)
 
-    def direction(self, form: MomentumForm):
-        """(fn, meta), resolved once per stack: a row steps theta - h * fn(loss,
-        theta, g, n, h), g the grad at theta; meta names the kind and the
-        correction route every step takes (method None at first order)."""
+    def resolve(self, form: MomentumForm):
+        """(update, meta), resolved once per stack: update(loss, theta, g, n, h) is
+        step_memoryless with this kind's correction route (None at first order),
+        g the grad at theta; meta names the kind and that route's method."""
         meta = {"order": self.order.value, "variant": self.variant.value,
                 "kind": form.spec.kind.value, "correction_method": None}
-        if self.order is Order.FIRST_ORDER:
-            return (lambda loss, theta, g, n, h: form.contracted_F(loss, theta, n, g)), meta
-        asymptotic = self.variant is CorrectionVariant.ASYMPTOTIC
-        route, method, fallback = closed_route(form, not asymptotic)
-        meta["correction_method"] = method.value
-        if fallback:
-            meta["correction_fallback"] = fallback
-
-        def second(loss, theta, g, n, h):  # large-n coefficients throughout if asymptotic
-            update, c = route(loss, theta, g, None if asymptotic else n, h)
-            return update + c
-        return second, meta
+        route = None
+        if self.order is Order.SECOND_ORDER:
+            route, method, fallback = closed_route(
+                form, self.variant is CorrectionVariant.FINITE_N)
+            meta["correction_method"] = method.value
+            if fallback:
+                meta["correction_fallback"] = fallback
+        return (lambda *a: step_memoryless(form, route, *a)), meta
 
 
-def run_memoryless(config: RunConfig, kind: MemorylessKind,
-                   loss: Optional[LossModel] = None, hs: Optional[Sequence[float]] = None):
-    """run_stack of one memoryless kind, from the memoryful initial condition:
-    one Trajectory at config.optimizer.h, or with hs one per step size."""
-    return run_stack(config, [kind], loss, hs)[0]
+def step_memoryless(form: MomentumForm, route, loss: LossModel, theta: ParamVector,
+                    g: ParamVector, n: int, h) -> np.ndarray:
+    """The update of step n, theta - h * update, of a memoryless kind's rows
+    from the grad g at theta: F^(n) at first order (route None), else F + c
+    with (F, c) = route(loss, theta, g, n, h), a correction.closed_route (the
+    asymptotic variant's takes the large-n coefficients in both terms).
+    Row-wise over a (B, d) stack whose h is a (B, 1) column; a module
+    function so that perfbench's tracer sees it."""
+    if route is None:
+        return form.contracted_F(loss, theta, n, g)
+    F, c = route(loss, theta, g, n, h)
+    return F + c
 
 
-def one_step_defect(spec: OptimizerSpec, loss: LossModel, runs):
+def run_memoryless(config: RunConfig, kinds: Sequence[MemorylessKind],
+                   loss: Optional[LossModel] = None, hs: Optional[Sequence[float]] = None,
+                   memoryful: bool = False) -> list:
+    """run_stack of the memoryless kinds in kinds, from the memoryful initial
+    condition: per kind, one Trajectory at config.optimizer.h, or with hs one
+    per step size; with memoryful, the memoryful runs join and lead the list."""
+    return run_stack(config, [MEMORYFUL] * memoryful + list(kinds), loss, hs)
+
+
+def one_step_defect(spec: OptimizerSpec, loss: LossModel, run: Trajectory) -> np.ndarray:
     """Residuals from feeding a run's iterates into the memoryful update:
     defect_n = || theta~(n+1) - theta~(n) + h F^(n)(theta~(n..0)) ||_inf, one per step.
 
     Third order in h, uniformly over the horizon, for a second-order run.
-    runs is one whole run of spec's optimizer (its defects are an array) or
-    a list of them (a list of arrays); a run cut short is an error.  One grad
-    call over each run's iterates feeds MomentumForm.advance, which steps all
-    runs in lockstep as one stack of momentum sums, sorted longest first so
-    that the runs still stepping are a prefix."""
-    single = isinstance(runs, Trajectory)
-    runs = [runs] if single else list(runs)
-    for run in runs:
-        if run.domain_exit is not None or len(run) != floor_steps(run.T, run.h) + 1:
-            raise ValueError(f"the run at h={run.h} is not whole "
-                             f"(domain exit: {run.domain_exit})")
-    order = sorted(range(len(runs)), key=lambda i: -len(runs[i]))
-    F = [loss.grad(runs[i].iterates[:-1]) for i in order]  # overwritten by F^(n)
-    form, n = momentum_form(spec), 0
-    sums = [np.zeros((len(runs), 1))] * len(form.slots)
-    for end in sorted({len(f) for f in F} - {0}):
-        # the runs that step through [n, end), a prefix, as (steps, runs, d) stacks
-        live = sum(len(f) >= end for f in F)
-        sums = [s[:live] for s in sums]
-        theta = np.stack([runs[i].iterates[n:end] for i in order[:live]], axis=1)
-        G = np.stack([f[n:end] for f in F[:live]], axis=1)
-        for k in range(end - n):
-            sums, G[k] = form.advance(sums, theta[k], G[k], n + k)
-        for j, f in enumerate(F[:live]):
-            f[n:end] = G[:, j]
-        n = end
-    out = {i: np.abs(np.diff(runs[i].iterates, axis=0) + runs[i].h * f).max(axis=1)
-           for i, f in zip(order, F)}
-    return out[0] if single else [out[i] for i in range(len(runs))]
+    run is one whole run of spec's optimizer at run.h; a run cut short by a
+    domain exit is an error.  One grad call over its iterates feeds the
+    memoryful engine's own MomentumForm.advance."""
+    if run.domain_exit is not None or len(run) != floor_steps(run.T, run.h) + 1:
+        raise ValueError(f"the run at h={run.h} is not whole (domain exit: {run.domain_exit})")
+    theta = run.iterates
+    grads = loss.grad(theta[:-1])
+    form = momentum_form(spec)
+    sums = [0.0] * len(form.slots)
+    F = np.empty_like(grads)
+    for n in range(len(grads)):
+        sums, F[n] = form.advance(sums, theta[n], grads[n], n)
+    return np.abs(theta[1:] - theta[:-1] + run.h * F).max(axis=1)

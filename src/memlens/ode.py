@@ -24,8 +24,8 @@ import numpy as np
 from .core import OptimizerSpec, ParamVector, RunConfig
 from .harness import SweepReport, _assemble_report, _gap_points, n_burn_steps
 from .losses import LossModel, loss_from_config
-from .memoryful import MEMORYFUL, MomentumForm, drive, momentum_form, run_stack, stack_spec
-from .memoryless import CorrectionVariant, MemorylessKind
+from .memoryful import MomentumForm, drive, momentum_form, stack_spec
+from .memoryless import CorrectionVariant, MemorylessKind, run_memoryless
 
 DT_RATIO_DEFAULT = 8  # RK4 substeps per h
 # discrete sides of compare_discrete_vs_ode; the first is the default
@@ -130,14 +130,14 @@ def compare_discrete_vs_ode(config: RunConfig, h_grid: Sequence[float],
     offset is O(h^2).  The flows of every h run as one RK4 stack, and the
     discrete runs as one lockstep stack.
     """
-    kinds = dict(zip(ODE_TARGETS, (MemorylessKind.second(CorrectionVariant.ASYMPTOTIC),
-                                   MemorylessKind.second(), MEMORYFUL)))
+    kinds = dict(zip(ODE_TARGETS, ([MemorylessKind.second(CorrectionVariant.ASYMPTOTIC)],
+                                   [MemorylessKind.second()], [])))  # [] is the memoryful run
     if target not in kinds:
         raise ValueError(f"unknown target: {target!r}")
     loss = loss_from_config(config.loss_id, config.loss_params,
                             config.dimension, config.seed)
     grid = [float(h) for h in h_grid]
-    discrete = run_stack(config, [kinds[target]], loss, grid)[0]
+    discrete = run_memoryless(config, kinds[target], loss, grid, memoryful=not kinds[target])[0]
     n_burn = 0 if target == ODE_TARGETS[0] else n_burn_steps(config.optimizer, tol=1e-12)
     odesys = build_modified_ode(stack_spec(config.optimizer, grid), loss)
     flows = integrate_rk4(config, loss, odesys, dt_ratio, include_g2)

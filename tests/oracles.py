@@ -34,13 +34,13 @@ def linf_distance(a: ParamVector, b: ParamVector) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def step_memoryless(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
-                    n: int, kind: MemorylessKind) -> ParamVector:
+def one_memoryless_step(spec: OptimizerSpec, loss: LossModel, theta: ParamVector,
+                        n: int, kind: MemorylessKind) -> ParamVector:
     """Step n of a run_memoryless row, as its stack takes it from
-    kind.direction, with one grad: theta - h * [contracted update +
+    kind.resolve, with one grad: theta - h * [contracted update +
     correction], row-wise over a (B, d) stack whose spec.h is a (B, 1) column."""
-    fn, _ = kind.direction(momentum_form(spec))
-    return theta - spec.h * fn(loss, theta, loss.grad(theta), n, spec.h)
+    update, _ = kind.resolve(momentum_form(spec))
+    return theta - spec.h * update(loss, theta, loss.grad(theta), n, spec.h)
 
 
 # -- the history engine -------------------------------------------------------

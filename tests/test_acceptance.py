@@ -73,8 +73,8 @@ H_GRID = [1e-2 * 2.0 ** -j for j in range(7)]
 def test_criterion_1_global_error_order():
     t0 = time.perf_counter()
     cfg = hb_quadratic_config()
-    second = global_error_sweep(cfg, H_GRID, MemorylessKind.second())
-    first = global_error_sweep(cfg, H_GRID, MemorylessKind.first())
+    second, = global_error_sweep(cfg, H_GRID, [MemorylessKind.second()])
+    first, = global_error_sweep(cfg, H_GRID, [MemorylessKind.first()])
     elapsed = time.perf_counter() - t0
     report("1 second-order slope", 1.7 <= second.slope <= 2.3 and second.r2 >= 0.98,
            f"slope={second.slope:.3f} r2={second.r2:.4f}")

@@ -41,17 +41,17 @@ def test_fit_loglog_needs_three_points():
 
 def test_global_error_sweep_slopes_and_determinism():
     cfg = hb_config()
-    rep_a = global_error_sweep(cfg, GRID, MemorylessKind.second())
-    rep_b = global_error_sweep(cfg, GRID, MemorylessKind.second())
+    rep_a, = global_error_sweep(cfg, GRID, [MemorylessKind.second()])
+    rep_b, = global_error_sweep(cfg, GRID, [MemorylessKind.second()])
     assert 1.7 <= rep_a.slope <= 2.3 and rep_a.r2 >= 0.98
     assert rep_a.slope == rep_b.slope  # bit-for-bit
     assert [p.metric for p in rep_a.points] == [p.metric for p in rep_b.points]
-    rep_first = global_error_sweep(cfg, GRID, MemorylessKind.first())
+    rep_first, = global_error_sweep(cfg, GRID, [MemorylessKind.first()])
     assert 0.8 <= rep_first.slope <= 1.3
 
 
 def test_global_error_sweep_degenerate_at_beta0():
-    rep = global_error_sweep(hb_config(beta=0.0), GRID, MemorylessKind.second())
+    rep, = global_error_sweep(hb_config(beta=0.0), GRID, [MemorylessKind.second()])
     assert rep.status == "degenerate"
     assert all(p.metric <= ERROR_FLOOR for p in rep.points)
 
@@ -59,9 +59,9 @@ def test_global_error_sweep_degenerate_at_beta0():
 def test_global_error_sweep_grid_validation():
     cfg = hb_config()
     with pytest.raises(ValueError, match="5 points"):
-        global_error_sweep(cfg, [1e-2, 1e-3, 1e-4], MemorylessKind.second())
+        global_error_sweep(cfg, [1e-2, 1e-3, 1e-4], [MemorylessKind.second()])
     with pytest.raises(ValueError, match="span"):
-        global_error_sweep(cfg, [1e-2, 9e-3, 8e-3, 7e-3, 6e-3], MemorylessKind.second())
+        global_error_sweep(cfg, [1e-2, 9e-3, 8e-3, 7e-3, 6e-3], [MemorylessKind.second()])
 
 
 def test_defect_sweep_returns_details():
@@ -123,7 +123,7 @@ def test_sweep_domain_exit_excluded_from_fit():
                                  "domain_radius": 10.0},
                     optimizer=OptimizerSpec.heavy_ball(1.0, 0.9))
     grid = [1.0, 0.5, 0.1, 0.05, 0.02, 0.01]
-    rep = global_error_sweep(cfg, grid, MemorylessKind.second())
+    rep, = global_error_sweep(cfg, grid, [MemorylessKind.second()])
     assert any(not p.valid and p.note == "domain-exit" for p in rep.points)
     fitted_hs = {p.h for p in rep.fitted_points()}
     assert all(p.h not in fitted_hs for p in rep.points if not p.valid)

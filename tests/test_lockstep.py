@@ -14,7 +14,7 @@ from memlens import (OptimizerSpec, RunConfig, build_modified_ode, integrate_rk4
 from memlens.cli import main as cli_main
 from memlens.core import floor_steps
 from memlens.losses import loss_from_config
-from memlens.memoryful import MEMORYFUL, drive, momentum_form, run_stack, stack_spec
+from memlens.memoryful import MEMORYFUL, drive, run_stack, stack_spec
 from memlens.memoryless import CorrectionVariant, MemorylessKind, one_step_defect
 
 from conftest import counting_loss, limit_specs, rel_linf
@@ -26,11 +26,11 @@ FIXTURES = {"quadratic": ({"eig_min": 0.5, "eig_max": 2.0}, 4),
 RUNS = {
     "memoryful": lambda cfg, loss, hs=None: run_memoryful(cfg, loss=loss, hs=hs),
     "first": lambda cfg, loss, hs=None: run_memoryless(
-        cfg, MemorylessKind.first(), loss=loss, hs=hs),
+        cfg, [MemorylessKind.first()], loss=loss, hs=hs)[0],
     "second-finite-n": lambda cfg, loss, hs=None: run_memoryless(
-        cfg, MemorylessKind.second(), loss=loss, hs=hs),
+        cfg, [MemorylessKind.second()], loss=loss, hs=hs)[0],
     "second-asymptotic": lambda cfg, loss, hs=None: run_memoryless(
-        cfg, MemorylessKind.second(CorrectionVariant.ASYMPTOTIC), loss=loss, hs=hs),
+        cfg, [MemorylessKind.second(CorrectionVariant.ASYMPTOTIC)], loss=loss, hs=hs)[0],
 }
 
 
@@ -157,10 +157,10 @@ def test_exiting_rows_of_a_real_run_match_their_single_runs():
                     loss_params={"eig_min": 1.0, "eig_max": 3.0, "domain_radius": 10.0},
                     optimizer=OptimizerSpec.heavy_ball(1.0, 0.9))
     hs = [1.0, 0.5, 0.1, 0.05]
-    stacked = run_memoryless(cfg, MemorylessKind.first(), hs=hs)
+    stacked, = run_memoryless(cfg, [MemorylessKind.first()], hs=hs)
     assert [t.domain_exit for t in stacked] == [5, 9, None, None]
     for h, row in zip(hs, stacked):
-        single = run_memoryless(with_h(cfg, h), MemorylessKind.first())
+        single, = run_memoryless(with_h(cfg, h), [MemorylessKind.first()])
         assert row.domain_exit == single.domain_exit and len(row) == len(single)
         assert rel_linf(row.iterates, single.iterates) <= 1e-13
 
@@ -193,27 +193,6 @@ def test_defect_equals_the_history_engine_residual(spec, loss_id):
         assert np.max(np.abs(defects - expected)) <= 1e-13 * step
 
 
-def looped_defect(spec, loss, run):
-    """one_step_defect of one run, stepping its momentum sums alone."""
-    theta, form = run.iterates, momentum_form(spec)
-    grads, sums = loss.grad(theta[:-1]), [0.0] * len(form.slots)
-    F = np.empty_like(grads)
-    for n in range(len(grads)):
-        sums, F[n] = form.advance(sums, theta[n], grads[n], n)
-    return np.abs(theta[1:] - theta[:-1] + run.h * F).max(axis=1)
-
-
-@pytest.mark.parametrize("loss_id", sorted(FIXTURES))
-@pytest.mark.parametrize("spec", DEFECT_SPECS, ids=spec_id)
-def test_lockstep_defect_equals_each_runs_own_loop(spec, loss_id):
-    # unsorted runs of several lengths, one repeated: bitwise each run's loop
-    cfg, loss = fixture_config(loss_id, spec)
-    runs = RUNS["second-finite-n"](cfg, loss, [2e-3, 4e-3, 1e-3, 4e-3])
-    for run, defects in zip(runs, one_step_defect(spec, loss, runs)):
-        assert np.array_equal(defects, looped_defect(spec, loss, run))
-    assert one_step_defect(spec, loss, []) == []
-
-
 def test_defect_replay_rejects_a_run_with_a_domain_exit():
     # a run cut short, by a domain exit or otherwise, has no iterates past
     # its end to feed into the memoryful update
@@ -221,7 +200,7 @@ def test_defect_replay_rejects_a_run_with_a_domain_exit():
                     loss_params={"eig_min": 1.0, "eig_max": 3.0, "domain_radius": 10.0},
                     optimizer=OptimizerSpec.heavy_ball(1.0, 0.9))
     loss = loss_from_config(cfg.loss_id, cfg.loss_params, cfg.dimension, cfg.seed)
-    runs = run_memoryless(cfg, MemorylessKind.second(), loss=loss, hs=[1.0, 0.02])
+    runs, = run_memoryless(cfg, [MemorylessKind.second()], loss=loss, hs=[1.0, 0.02])
     assert runs[0].domain_exit is not None and runs[1].domain_exit is None
     with pytest.raises(ValueError, match="domain exit"):
         one_step_defect(cfg.optimizer, loss, runs[0])

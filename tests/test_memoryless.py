@@ -11,7 +11,7 @@ from memlens.memoryless import CorrectionVariant, MemorylessKind, Order
 
 from conftest import counting_loss, limit_specs
 from oracles import (adamw_memoryless_reference, lion_eps_memoryless_reference, linf_distance,
-                     step_memoryless)
+                     one_memoryless_step)
 
 def quad_config(spec, d=4, T=0.3, seed=5):
     return RunConfig(seed=seed, dimension=d, horizon=T, loss_id="quadratic",
@@ -22,7 +22,7 @@ def test_vanishing_h_leaves_theta_unchanged(quad4, rng):
     # h > 0 is required by the spec record; the h -> 0 limit is the identity
     theta = rng.standard_normal(4)
     spec = OptimizerSpec.heavy_ball(1e-300, 0.9)
-    out = step_memoryless(spec, quad4, theta, 3, MemorylessKind.second())
+    out = one_memoryless_step(spec, quad4, theta, 3, MemorylessKind.second())
     assert np.array_equal(out, theta)
 
 
@@ -32,7 +32,7 @@ def test_heavyball_first_order_coefficient(quad4, rng):
     h, beta = 1e-3, 0.8
     spec = OptimizerSpec.heavy_ball(h, beta)
     for n in (0, 1, 4, 30):
-        got = step_memoryless(spec, quad4, theta, n, MemorylessKind.first())
+        got = one_memoryless_step(spec, quad4, theta, n, MemorylessKind.first())
         expected = theta - h * (1 - beta ** (n + 1)) / (1 - beta) * quad4.grad(theta)
         assert linf_distance(got, expected) <= 1e-15
 
@@ -41,7 +41,7 @@ def test_adamw_matches_componentwise_reference(logistic6, rng):
     spec = OptimizerSpec.adamw(1e-3, 0.9, 0.95, lam=0.1, eps=1e-6)
     for n in (0, 1, 7, 100):
         theta = rng.standard_normal(6)
-        gen = step_memoryless(spec, logistic6, theta, n, MemorylessKind.second())
+        gen = one_memoryless_step(spec, logistic6, theta, n, MemorylessKind.second())
         ref = adamw_memoryless_reference(spec, logistic6, theta, n)
         assert linf_distance(gen, ref) <= 1e-12
 
@@ -51,7 +51,7 @@ def test_lion_matches_componentwise_reference(logistic6, rng):
                                 bias_correction=True)
     for n in (0, 1, 7, 100):
         theta = rng.standard_normal(6)
-        gen = step_memoryless(spec, logistic6, theta, n, MemorylessKind.second())
+        gen = one_memoryless_step(spec, logistic6, theta, n, MemorylessKind.second())
         ref = lion_eps_memoryless_reference(spec, logistic6, theta, n)
         assert linf_distance(gen, ref) <= 1e-12
 
@@ -61,7 +61,7 @@ def test_beta_zero_memoryless_equals_memoryful():
                  OptimizerSpec.adamw(1e-2, 0.0, 0.0, lam=0.1, eps=1e-6)):
         cfg = quad_config(spec)
         full = run_memoryful(cfg)
-        approx = run_memoryless(cfg, MemorylessKind.second())
+        approx = run_memoryless(cfg, [MemorylessKind.second()])[0]
         assert np.max(np.abs(full.iterates - approx.iterates)) <= 1e-15
 
 
@@ -70,15 +70,15 @@ def test_initial_condition_pinned_bitwise():
     full = run_memoryful(cfg)
     for kind in (MemorylessKind.first(), MemorylessKind.second(),
                  MemorylessKind.second(CorrectionVariant.ASYMPTOTIC)):
-        approx = run_memoryless(cfg, kind)
+        approx = run_memoryless(cfg, [kind])[0]
         assert np.array_equal(full.iterates[0], approx.iterates[0])
 
 
 def test_second_order_beats_first_order():
     cfg = quad_config(OptimizerSpec.heavy_ball(1e-3, 0.9), T=0.5)
     full = run_memoryful(cfg)
-    second = run_memoryless(cfg, MemorylessKind.second())
-    first = run_memoryless(cfg, MemorylessKind.first())
+    second = run_memoryless(cfg, [MemorylessKind.second()])[0]
+    first = run_memoryless(cfg, [MemorylessKind.first()])[0]
     gap2 = linf_distance(full.iterates[-1], second.iterates[-1])
     gap1 = linf_distance(full.iterates[-1], first.iterates[-1])
     assert gap2 < gap1
@@ -89,7 +89,7 @@ def test_defect_zero_at_n0():
     # from the (theta - step) - theta round trip
     cfg = quad_config(OptimizerSpec.heavy_ball(1e-2, 0.9))
     loss = loss_from_config(cfg.loss_id, cfg.loss_params, cfg.dimension, cfg.seed)
-    run = run_memoryless(cfg, MemorylessKind.second(), loss=loss)
+    run = run_memoryless(cfg, [MemorylessKind.second()], loss=loss)[0]
     defects = one_step_defect(cfg.optimizer, loss, run)
     theta0 = cfg.initial_theta()
     assert defects[0] <= 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(theta0)))
@@ -110,7 +110,7 @@ def test_defect_order_three(loss_id, params, d):
                         theta0="gauss")
         loss = loss_from_config(loss_id, params, d, cfg.seed)
         for kind, sups in ((MemorylessKind.second(), sups2), (MemorylessKind.first(), sups1)):
-            run = run_memoryless(cfg, kind, loss=loss)
+            run = run_memoryless(cfg, [kind], loss=loss)[0]
             sups.append(np.max(one_step_defect(cfg.optimizer, loss, run)))
     slope2 = np.polyfit(np.log([4e-3, 2e-3, 1e-3, 5e-4]), np.log(sups2), 1)[0]
     slope1 = np.polyfit(np.log([4e-3, 2e-3, 1e-3, 5e-4]), np.log(sups1), 1)[0]
@@ -130,11 +130,11 @@ def test_lion_correction_scales_linearly_in_eps(quad4, rng):
 
 def test_fallback_flag_in_run_metadata():
     spec = OptimizerSpec.adamw(1e-2, 0.9, 0.95, lam=0.1, eps=1e-4, bias_correction=False)
-    traj = run_memoryless(quad_config(spec, T=0.05), MemorylessKind.second())
+    traj = run_memoryless(quad_config(spec, T=0.05), [MemorylessKind.second()])[0]
     assert "correction_fallback" in traj.meta
     assert traj.meta["correction_method"] == "contraction"
     for spec in (OptimizerSpec.heavy_ball(1e-2, 0.8), OptimizerSpec.nesterov(1e-2, 0.8)):
-        traj = run_memoryless(quad_config(spec, T=0.05), MemorylessKind.second())
+        traj = run_memoryless(quad_config(spec, T=0.05), [MemorylessKind.second()])[0]
         assert "correction_fallback" not in traj.meta
         assert traj.meta["correction_method"] == "closed-finite-n"
 
@@ -152,7 +152,7 @@ def test_nesterov_finite_n_run_is_linear_in_steps(monkeypatch):
     loss, counts = counting_loss(loss_from_config(cfg.loss_id, cfg.loss_params,
                                                   cfg.dimension, cfg.seed))
     t0 = time.perf_counter()
-    traj = run_memoryless(cfg, MemorylessKind.second(), loss=loss)
+    traj = run_memoryless(cfg, [MemorylessKind.second()], loss=loss)[0]
     elapsed = time.perf_counter() - t0
     assert len(traj) - 1 == N and traj.domain_exit is None
     assert traj.meta["correction_method"] == "closed-finite-n"
@@ -165,17 +165,17 @@ def test_asymptotic_variant_is_autonomous(quad4, rng):
     spec = OptimizerSpec.adamw(1e-3, 0.9, 0.95, lam=0.1, eps=1e-4)
     theta = rng.standard_normal(4)
     kind = MemorylessKind.second(CorrectionVariant.ASYMPTOTIC)
-    a = step_memoryless(spec, quad4, theta, 0, kind)
-    b = step_memoryless(spec, quad4, theta, 1000, kind)
+    a = one_memoryless_step(spec, quad4, theta, 0, kind)
+    b = one_memoryless_step(spec, quad4, theta, 1000, kind)
     assert np.array_equal(a, b)
 
 
 def test_first_order_ignores_variant(quad4, rng):
     theta = rng.standard_normal(4)
     spec = OptimizerSpec.heavy_ball(1e-3, 0.9)
-    a = step_memoryless(spec, quad4, theta, 5, MemorylessKind(Order.FIRST_ORDER,
+    a = one_memoryless_step(spec, quad4, theta, 5, MemorylessKind(Order.FIRST_ORDER,
                                                               CorrectionVariant.FINITE_N))
-    b = step_memoryless(spec, quad4, theta, 5, MemorylessKind(Order.FIRST_ORDER,
+    b = one_memoryless_step(spec, quad4, theta, 5, MemorylessKind(Order.FIRST_ORDER,
                                                               CorrectionVariant.ASYMPTOTIC))
     assert np.array_equal(a, b)
 
@@ -191,7 +191,7 @@ def test_second_order_step_makes_one_grad(spec, quad4, rng):
         term = correction_closed(spec, quad4, theta, n)
         expected = theta - spec.h * (term.update + term.vector)
         counts.clear()
-        got = step_memoryless(spec, counting, theta, 7, MemorylessKind.second(variant))
+        got = one_memoryless_step(spec, counting, theta, 7, MemorylessKind.second(variant))
         assert np.array_equal(got, expected)
         assert counts["grad"] == 1 and counts["value"] == 0
         if n is None or "fallback" not in term.meta:
