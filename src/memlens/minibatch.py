@@ -15,6 +15,7 @@ from .core import ParamVector, as_param_vector, rng
 from .losses import MiniBatchFamily
 
 EXHAUSTIVE_MAX = 7  # (n+1)! enumeration cap
+MC_BLOCK = 8192  # orderings drawn and evaluated at a time by expected_correction_mc
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,20 @@ def expected_correction_mc(family: MiniBatchFamily, beta: float, theta: ParamVec
                            h: float, samples: int, seed: int
                            ) -> Tuple[np.ndarray, np.ndarray]:
     """Unbiased sample mean over uniform orderings plus componentwise standard
-    errors; orderings drawn by Fisher-Yates shuffling from the seeded stream."""
+    errors; orderings drawn by Fisher-Yates shuffling from the seeded stream.
+
+    The orderings are drawn and evaluated MC_BLOCK at a time, in stream order,
+    so the call holds O(MC_BLOCK * M * d) scratch plus the 8 * d bytes of each
+    sample's correction; the samples equal those of one draw of all orderings."""
     theta = as_param_vector(theta)
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    orders = rng(seed, "minibatch-mc").permuted(np.tile(np.arange(family.size), (samples, 1)),
-                                                 axis=1)
-    vals = epoch_corrections(family, beta, theta, h, orders)
+    stream = rng(seed, "minibatch-mc")
+    vals = np.empty((samples, theta.size))
+    for start in range(0, samples, MC_BLOCK):
+        block = vals[start:start + MC_BLOCK]
+        orders = stream.permuted(np.tile(np.arange(family.size), (len(block), 1)), axis=1)
+        block[:] = epoch_corrections(family, beta, theta, h, orders)
     return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(samples)
 
 

@@ -3,8 +3,9 @@ against: the history engine that sums over every past iterate, hand-written
 componentwise memoryless steps, the hand-derived closed-form corrections of
 the adaptive and sign-momentum kinds, a literal decaying double sum, the
 equal-momentum identity of the adaptive and sign-momentum corrections, the
-large-n mean drift of the mini-batch correction and its per-ordering
-evaluation, and a modified-equation field built from central differences.
+large-n mean drift of the mini-batch correction, its per-ordering
+evaluation and its Monte Carlo average over one draw of every ordering, and a
+modified-equation field built from central differences.
 Also the inf-norm distance the tests measure with, and one memoryless step.
 """
 import functools
@@ -15,12 +16,12 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from memlens.core import (Kind, KSpec, OptimizerSpec, ParamVector, RunConfig, Trajectory,
-                          as_param_vector, softsign)
+                          as_param_vector, rng, softsign)
 from memlens.correction import correction_closed
 from memlens.losses import LossModel, MiniBatchFamily, loss_from_config
 from memlens.memoryful import drive, momentum_form
 from memlens.memoryless import MemorylessKind
-from memlens.minibatch import batch_pair_expectations
+from memlens.minibatch import batch_pair_expectations, epoch_corrections
 
 
 def linf_distance(a: ParamVector, b: ParamVector) -> float:
@@ -270,6 +271,20 @@ def _correction_for_order(family: MiniBatchFamily, beta: float, theta: ParamVect
         S_k = prefix[n] - prefix[n - 1 - k]
         c = c + beta ** k * family.batches[order[n - 1 - k]].hvp(theta, S_k)
     return h * beta * c
+
+
+def mc_orderings(size: int, samples: int, seed: int) -> np.ndarray:
+    """All (samples, size) orderings of the Monte Carlo estimate in one draw."""
+    return rng(seed, "minibatch-mc").permuted(np.tile(np.arange(size), (samples, 1)), axis=1)
+
+
+def expected_correction_mc_whole(family: MiniBatchFamily, beta: float, theta: ParamVector,
+                                 h: float, samples: int, seed: int):
+    """Monte Carlo mean and standard error from one epoch_corrections call over
+    every ordering at once."""
+    vals = epoch_corrections(family, beta, as_param_vector(theta), h,
+                             mc_orderings(family.size, samples, seed))
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(samples)
 
 
 # -- modified equation ------------------------------------------------------------

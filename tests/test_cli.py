@@ -304,6 +304,16 @@ samples = 2000
     assert {"exhaustive", "decomposed", "mc"} <= methods
 
 
+def test_unallocatable_sample_count_exits_2(tmp_path, capsys):
+    # 1e15 orderings need petabytes, beyond any address space, so the
+    # allocation fails at once without touching memory
+    rc = run_cli("minibatch-corr", "--config", STOCK_HB_CFG.parent / "minibatch_perm.cfg",
+                 "--set", "experiment.samples=1000000000000000", "--out-dir", tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
 

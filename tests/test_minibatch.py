@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,12 @@ from memlens import (OptimizerSpec, correction_bruteforce,
                      make_minibatch_quadratics, modified_loss_minibatch,
                      perm_coefficients)
 from memlens.core import rng as seeded_rng
-from memlens.minibatch import (batch_pair_expectations, epoch_corrections,
+from memlens.minibatch import (MC_BLOCK, batch_pair_expectations, epoch_corrections,
                                expected_correction_decomposed)
 
 from conftest import rel_linf
-from oracles import _correction_for_order, expected_drift_largen
+from oracles import (_correction_for_order, expected_correction_mc_whole,
+                     expected_drift_largen, mc_orderings)
 
 
 @pytest.fixture
@@ -141,13 +144,40 @@ def test_mc_vectorized_matches_loop_path(family):
     # the per-ordering reference loop over the orderings the Monte Carlo
     # estimate draws from its seeded stream
     theta = np.array([0.3, -1.1, 0.7])
-    orders = seeded_rng(5, "minibatch-mc").permuted(np.tile(np.arange(family.size), (500, 1)),
-                                                    axis=1)
+    orders = mc_orderings(family.size, 500, seed=5)
     loop = np.array([_correction_for_order(family, 0.5, theta, 1e-3, o) for o in orders])
     a = expected_correction_mc(family, 0.5, theta, 1e-3, 500, seed=5)
     b = loop.mean(axis=0), loop.std(axis=0, ddof=1) / np.sqrt(500)
     assert np.max(np.abs(a[0] - b[0])) <= 1e-15
     assert np.max(np.abs(a[1] - b[1])) <= 1e-15
+
+
+@pytest.mark.parametrize("samples", [100, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 37])
+def test_mc_blocks_equal_one_draw_bitwise(family, samples):
+    # drawing the orderings block by block consumes the stream as one draw of
+    # all of them does, so the estimate is the same sample to the last bit
+    theta = np.array([0.3, -1.1, 0.7])
+    stream = seeded_rng(11, "minibatch-mc")
+    blocks = [stream.permuted(np.tile(np.arange(family.size), (min(MC_BLOCK, samples - i), 1)),
+                              axis=1) for i in range(0, samples, MC_BLOCK)]
+    assert np.array_equal(np.concatenate(blocks), mc_orderings(family.size, samples, seed=11))
+    got = expected_correction_mc(family, 0.5, theta, 1e-3, samples, seed=11)
+    want = expected_correction_mc_whole(family, 0.5, theta, 1e-3, samples, seed=11)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_mc_memory_is_bounded_by_the_block():
+    # 100,000 orderings of 6 batches in d = 4: the whole-array evaluation
+    # peaks at ~54 MB, the blocked one at ~8 MB
+    fam = make_minibatch_quadratics(6, 4, 0.5, seed=17)
+    theta = np.array([0.3, -1.1, 0.7, 0.2])
+    tracemalloc.start()
+    try:
+        expected_correction_mc(fam, 0.5, theta, 1e-3, 100_000, seed=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
